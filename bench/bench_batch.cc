@@ -31,7 +31,6 @@
 #include "src/block/block_server.h"
 #include "src/block/block_store.h"
 #include "src/block/protocol.h"
-#include "src/core/commit_tuning.h"
 #include "src/core/file_server.h"
 #include "src/core/page_store.h"
 #include "src/disk/mem_disk.h"
@@ -154,9 +153,7 @@ BENCHMARK(BM_TreeScan)
 // Multi-client commit: T client threads updating F files with large pages. With files=1
 // every thread contends on the same file, so almost every commit runs the serialisability
 // test + merge against a concurrent winner; files>1 spreads threads round-robin across
-// files, exercising the cross-file parallel-validation path inside one commit group.
-// The commit-path kill switches (--no_group_commit, --no_version_index,
-// --serial_validate) attribute the speedup per mechanism across whole-process runs.
+// files, so one commit group holds a segment per file.
 // Args: {threads, files, batch}
 // ---------------------------------------------------------------------------
 
@@ -470,19 +467,12 @@ BENCHMARK(BM_ShardedWrites)
 
 int main(int argc, char** argv) {
   // Strip our process-wide flags before the shared harness (and google/benchmark) see
-  // argv. The three commit-path switches mirror --no_batch: each disables exactly one
-  // mechanism so whole-process A/B runs attribute the speedup per mechanism.
+  // argv.
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--no_batch") == 0) {
       afs::g_allow_batch = false;
       afs::SetBatchingEnabled(false);
-    } else if (std::strcmp(argv[i], "--no_group_commit") == 0) {
-      afs::SetGroupCommitEnabled(false);
-    } else if (std::strcmp(argv[i], "--no_version_index") == 0) {
-      afs::SetVersionIndexEnabled(false);
-    } else if (std::strcmp(argv[i], "--serial_validate") == 0) {
-      afs::SetParallelValidateEnabled(false);
     } else if (std::strcmp(argv[i], "--transport=tcp") == 0) {
       afs::g_tcp_transport = true;
     } else if (std::strcmp(argv[i], "--transport=inproc") == 0) {

@@ -346,10 +346,10 @@ Status BlockServer::StableWriteBatch(std::vector<PendingWrite> writes) {
     // chunk was acked (or an intention was recorded for it). Once a chunk has been launched
     // it is always fully processed — acked chunks are written locally even when an earlier
     // chunk already failed, so the pair never diverges on a chunk the companion accepted.
-    std::future<Status> pending =
-        std::async(std::launch::async, send_chunk, chunks[0].first, chunks[0].second);
+    // The first chunk's round trip has nothing to overlap with, so it runs on this thread.
+    std::future<Status> pending;
     for (size_t ci = 0; ci < chunks.size(); ++ci) {
-      Status ack = pending.get();
+      Status ack = ci == 0 ? send_chunk(chunks[0].first, chunks[0].second) : pending.get();
       pending = std::future<Status>();
       if (ci + 1 < chunks.size() && result.ok()) {
         pending = std::async(std::launch::async, send_chunk, chunks[ci + 1].first,

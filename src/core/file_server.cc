@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "src/base/wire.h"
-#include "src/core/commit_tuning.h"
 #include "src/core/protocol.h"
 #include "src/core/serialise.h"
 #include "src/obs/slo.h"
@@ -154,9 +153,6 @@ Status FileServer::AttachStore() {
 
 void FileServer::RebuildVersionIndex() {
   index_.Clear();
-  if (!VersionIndexEnabled()) {
-    return;
-  }
   // Heads only: signatures and root snapshots belong to the server instance that ran the
   // commits and are not recoverable. Validation against re-seeded records falls back to
   // the serialiser's tree walk, exactly as for another server's commits.

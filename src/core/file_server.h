@@ -340,38 +340,45 @@ class FileServer : public Service {
   Result<bool> TestAndSetCommitRef(BlockNo base_head, BlockNo new_head, BlockNo* successor);
 
   // --- group commit (docs/PERF.md §5a) ---
-  // One staged Commit() request. The requester loads the root and parks here; the group
-  // leader validates, links, persists and flips on its behalf, then posts the result.
+  // One Commit() or Prepare() request. A Commit() requester loads the root and parks in
+  // the combiner; the group leader validates, links, persists and flips on its behalf,
+  // then posts the result. Prepare() runs its own segment of one.
   struct PendingCommit {
     VersionInfo* info = nullptr;
-    Page root;              // version page; leader rewrites base/commit references
+    // Version page. Between attempts base_ref names the last committed head this request
+    // has been validated against; the segment loop rewrites base/commit references.
+    Page root;
     bool done = false;      // written only under commit_mu_; the follower's wake condition
     bool fast_path = true;  // no real merge ran: tree is this update's own, reshare is safe
-    // Validation could not run to the chain end against a trusted tip (successor walk hit
-    // its step cap, or the index's tip hint is not a successor of this base): skip the
-    // group flip and run the classic serial loop, which walks one successor at a time.
-    bool defer_serial = false;
-    // Last committed head this request's phase-1 validation covered (its base when the
-    // chain had no successors). The flip-loss fallback re-bases onto this, never onto a
-    // tip that could sit BEHIND the request's own base.
-    BlockNo validated_end = kNilRef;
+    // Set aside from a multi-member segment (super-file update, or a signature test against
+    // a mate that could not decide): commits afterwards as its own segment of one.
+    bool deferred = false;
     Status validation = OkStatus();  // first validation failure (conflict or I/O)
     Result<BlockNo> result = InternalError("commit not processed");
     obs::Counter* outcome = nullptr;  // outcome counter for the requester's CommitScope
-    uint64_t group_size = 1;
   };
-  // The flip-free §5.2 loop body: validate `req` against ONE committed successor c and
-  // merge on success (signature fast path first — version_index.h — then the serialiser
-  // walk). kConflict means not serialisable; the caller aborts the version.
+  // Validate `req` against every committed successor of root.base_ref up to the chain end
+  // (version index first when `use_index`, else or on a miss a commit-reference walk),
+  // merging as it goes and advancing root.base_ref. An in-doubt successor is a conflict.
+  Status ValidateToChainEnd(PendingCommit* req, bool use_index);
+  // Validate `req` against ONE committed successor c and merge on success (signature fast
+  // path first — version_index.h — then the serialiser walk). kConflict means not
+  // serialisable; the caller aborts the version.
   Status ValidateAgainstSuccessor(PendingCommit* req, BlockNo c_head, const AccessSig* c_sig,
                                   const Page* c_root);
-  // Classic serial commit (the per-version §5.2 flip/validate/merge loop). Also the
-  // fallback when a group flip loses to a foreign committer. Requires the version op lock.
-  Result<BlockNo> CommitSerialLocked(VersionInfo* info, Page root, obs::Counter** outcome_ctr);
+  // The §5.2 validate-and-flip loop over one segment: an ordered list of requests for one
+  // file, all holding their version op locks. Validates every member to the chain end,
+  // links the survivors, persists their roots in one write and publishes them with one
+  // test-and-set on the tip; a lost flip re-validates and retries (at most 256 attempts).
+  // Winners get result = head and, for a commit, FinishCommit; conflicts are aborted; a
+  // flip that errors returns the error without aborting. prepare_txn != 0 stages a
+  // segment of one as an in-doubt tip instead (the marker is persisted with the root).
+  void CommitSegment(const std::vector<PendingCommit*>& segment, uint64_t prepare_txn);
+  // Post-flip step of a committed member: index it, §5.3 completion, §5.1 reshare.
+  void FinishCommit(PendingCommit* req);
   // Stage into the commit combiner; leader election + batch processing.
   Result<BlockNo> CommitGrouped(VersionInfo* info, Page root, obs::Counter** outcome_ctr);
-  void ProcessCommitBatch(std::vector<PendingCommit*>* batch);
-  void ProcessFileCommitGroup(uint64_t file_id, std::vector<PendingCommit*>* group);
+  void ProcessCommitBatch(const std::vector<PendingCommit*>& batch);
   // Record a committed version in the index (+ current-version hint). `reshared` commits
   // cache no root snapshot (the reshare pass rewrites it after commit).
   void IndexCommitted(VersionInfo* info, BlockNo base, const Page& root, bool reshared);
@@ -464,7 +471,7 @@ class FileServer : public Service {
   obs::Counter* commit_sig_fast_;    // successor hops decided by signatures alone
   obs::Counter* index_hits_;         // commit.index_hit: chain/root served from the index
   obs::Counter* index_misses_;       // commit.index_miss: fell back to the chain walk
-  obs::Counter* group_fallbacks_;    // group flip lost to a foreign committer
+  obs::Counter* group_fallbacks_;    // segment flip lost and re-validated in the loop
   obs::Histogram* commit_group_size_;
   obs::Histogram* commit_rpcs_;      // transport calls issued by one Commit() call
   obs::Histogram* commit_latency_ns_;

@@ -2,16 +2,13 @@
 // reshare rule, cache validation (§5.4), and the RPC surface.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <unordered_set>
 
 #include "src/base/wire.h"
-#include "src/core/commit_tuning.h"
 #include "src/core/file_server.h"
 #include "src/core/protocol.h"
 #include "src/core/serialise.h"
@@ -21,46 +18,6 @@
 #include "src/rpc/transport.h"
 
 namespace afs {
-namespace {
-
-// Run `tasks` with up to `max_threads` on-demand workers (the calling thread is one of
-// them). Used by the commit combiner to validate independent transactions concurrently;
-// spawn cost is microseconds against the 100µs-scale wire latency each walk pays.
-void RunParallel(std::vector<std::function<void()>>* tasks, size_t max_threads) {
-  if (tasks->size() <= 1 || max_threads <= 1) {
-    for (auto& task : *tasks) {
-      task();
-    }
-    return;
-  }
-  std::atomic<size_t> next{0};
-  auto worker = [&] {
-    for (size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < tasks->size();) {
-      (*tasks)[i]();
-    }
-  };
-  const size_t nthreads = std::min(max_threads, tasks->size());
-  std::vector<std::thread> extra;
-  extra.reserve(nthreads - 1);
-  // Fold each worker's transport-call count back into the calling thread at join, so the
-  // leader's commit.rpcs sample (a Transport::ThreadCalls delta) keeps counting RPCs the
-  // workers issued on its behalf. A fresh thread's counter starts at zero, so its final
-  // value IS its delta — and nested RunParallel calls compose the same way.
-  std::atomic<uint64_t> worker_calls{0};
-  for (size_t t = 1; t < nthreads; ++t) {
-    extra.emplace_back([&worker, &worker_calls] {
-      worker();
-      worker_calls.fetch_add(Transport::ThreadCalls(), std::memory_order_relaxed);
-    });
-  }
-  worker();
-  for (std::thread& t : extra) {
-    t.join();
-  }
-  Transport::AddThreadCalls(worker_calls.load(std::memory_order_relaxed));
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Commit (§5.2)
@@ -103,8 +60,7 @@ Result<BlockNo> FileServer::Commit(const Capability& version) {
   // Record outcome + latency + RPC cost on every exit path (including early error returns
   // past this point). Relaxed atomics only — the commit hot path takes no statistics mutex.
   // commit.rpcs counts transport calls issued by THIS thread; work a group leader performs
-  // on a parked follower's behalf lands in the leader's own sample, and RunParallel folds
-  // its worker threads' calls back into the leader so parallel validation is not lost.
+  // on a parked follower's behalf lands in the leader's own sample.
   struct CommitScope {
     FileServer* fs;
     std::chrono::steady_clock::time_point start;
@@ -130,117 +86,49 @@ Result<BlockNo> FileServer::Commit(const Capability& version) {
   if (op.info == nullptr) {
     return AbortedError("version is not managed by this server (already finished?)");
   }
-  VersionInfo* info = op.info;
   ASSIGN_OR_RETURN(Page root, LoadPageUncached(head));
   begin_span.End();
 
-  // Super-file updates keep the classic serial path: their sub-file commit completion and
-  // lock discipline (§5.3) do not batch. Everything else goes through the combiner.
-  Result<BlockNo> result = (GroupCommitEnabled() && !info->is_super_update)
-                               ? CommitGrouped(info, std::move(root), &scope.outcome)
-                               : CommitSerialLocked(info, std::move(root), &scope.outcome);
+  Result<BlockNo> result = CommitGrouped(op.info, std::move(root), &scope.outcome);
   if (!result.ok()) {
     commit_span.set_status(static_cast<uint8_t>(result.status().code()));
   }
   return result;
 }
 
-Result<BlockNo> FileServer::CommitSerialLocked(VersionInfo* info, Page root,
-                                               obs::Counter** outcome_ctr) {
-  const BlockNo head = info->head;
-  // True while no real merge has run: the tree is exactly this update's own pages, so the
-  // §5.1 reshare pass is safe. Signature-decided no-op hops keep it (they adopt nothing);
-  // a serialiser merge clears it (grafted content must not be reshared away).
-  bool fast_path = true;
-  int attempts = 0;
-  for (;;) {
-    if (++attempts > 256) {
-      *outcome_ctr = commit_conflicts_;
-      obs::Trace(obs::TraceEvent::kCommitAbort, head);
-      return ConflictError("commit starved by concurrent committers");
-    }
-    // commit.flip: the §4 critical section — lock the base's block, test-and-set the
-    // commit reference, unlock. Block-lock contention shows up here.
-    BlockNo successor = kNilRef;
-    obs::ScopedSpan flip_span("commit.flip", obs::SpanKind::kPhase, root.base_ref, 0);
-    ASSIGN_OR_RETURN(bool won, TestAndSetCommitRef(root.base_ref, head, &successor));
-    flip_span.End();
-    if (won) {
-      break;
-    }
-    // The base has a committed successor V.c: run the serialisability test and, on
-    // success, merge the two updates and try to succeed V.c instead (§5.2, Figure 6).
-    // When the index knows V.c's access signature, the test (and a no-op merge) runs
-    // entirely in memory; otherwise the serialiser walks the trees.
-    PendingCommit req;
-    req.info = info;
-    req.root = std::move(root);
-    req.fast_path = fast_path;
-    const AccessSig* c_sig = nullptr;
-    const Page* c_root = nullptr;
-    std::vector<VersionIndex::CommittedRec> recs;
-    if (VersionIndexEnabled() &&
-        index_.SuccessorsAfter(info->file_id, req.root.base_ref, &recs) && !recs.empty() &&
-        recs.front().head == successor) {
-      index_hits_->Inc();
-      c_sig = recs.front().sig.get();
-      c_root = recs.front().root.get();
-    } else if (VersionIndexEnabled()) {
-      index_misses_->Inc();
-    }
-    if (c_sig == nullptr && c_root == nullptr) {
-      // The successor was not served by the index, so it may be an in-doubt cross-shard
-      // tip (the index only learns of those at decide time). A prepared successor is not
-      // committed: this update can neither validate against it nor chain behind it, so
-      // the only §5.2-faithful outcome is a conflict abort — the client redoes the update
-      // once the coordinator's decision lands.
-      auto succ = LoadPageUncached(successor);
-      if (succ.ok() && succ->prepare_txn != 0) {
-        *outcome_ctr = commit_conflicts_;
-        obs::Trace(obs::TraceEvent::kCommitConflict, head, successor);
-        (void)AbortLocked(info);
+Status FileServer::ValidateToChainEnd(PendingCommit* req, bool use_index) {
+  const uint64_t file_id = req->info->file_id;
+  const BlockNo from = req->root.base_ref;
+  std::vector<VersionIndex::CommittedRec> recs;
+  if (use_index && index_.SuccessorsAfter(file_id, from, &recs)) {
+    index_hits_->Inc();
+  } else {
+    index_misses_->Inc();
+    // Walk the commit references. The page just read doubles as the successor's root for
+    // the serialiser, so each hop costs one read.
+    BlockNo cur = from;
+    for (int step = 0; step < 4096; ++step) {
+      ASSIGN_OR_RETURN(Page page, LoadPageUncached(cur));
+      if (page.prepare_txn != 0) {
+        // In-doubt cross-shard tip: not committed, so nothing may validate against it or
+        // chain behind it. Conflict-abort; the client redoes the update after the decision.
         return ConflictError("file has an in-doubt cross-shard commit in progress");
       }
+      if (cur != from) {
+        recs.push_back(
+            VersionIndex::CommittedRec{cur, nullptr, std::make_shared<const Page>(page)});
+      }
+      if (page.commit_ref == kNilRef) {
+        break;
+      }
+      cur = page.commit_ref;
     }
-    Status st = ValidateAgainstSuccessor(&req, successor, c_sig, c_root);
-    root = std::move(req.root);
-    fast_path = req.fast_path;
-    if (!st.ok()) {
-      // "When serialise returns FALSE, the concurrent updates are not serialisable, and
-      // V.b is removed, and its owner notified."
-      *outcome_ctr = commit_conflicts_;
-      obs::Trace(obs::TraceEvent::kCommitConflict, head, successor);
-      obs::ScopedSpan abort_span("commit.abort", obs::SpanKind::kPhase, head, successor);
-      (void)AbortLocked(info);
-      return st;
-    }
-    root.base_ref = successor;
-    RETURN_IF_ERROR(pages_.OverwritePage(head, root));
   }
-
-  if (attempts == 1) {
-    *outcome_ctr = commit_fast_path_;
-    obs::Trace(obs::TraceEvent::kCommitFastPath, head);
-  } else {
-    *outcome_ctr = commit_validated_;
+  for (const VersionIndex::CommittedRec& rec : recs) {
+    RETURN_IF_ERROR(ValidateAgainstSuccessor(req, rec.head, rec.sig.get(), rec.root.get()));
+    req->root.base_ref = rec.head;
   }
-  // commit.finish: current-version bookkeeping, §5.3 sub-file commit completion, and the
-  // §5.1 reshare pass.
-  obs::ScopedSpan finish_span("commit.finish", obs::SpanKind::kPhase, head,
-                              static_cast<uint64_t>(attempts));
-  const bool reshare = options_.reshare_on_commit && fast_path;
-  IndexCommitted(info, root.base_ref, root, reshare);
-  if (info->is_super_update) {
-    RETURN_IF_ERROR(FinishSuperCommit(info));
-  }
-  if (reshare) {
-    (void)ReshareCleanPages(head);  // best effort; failures leave extra garbage for the GC
-  }
-  {
-    std::lock_guard<std::mutex> lock(versions_mu_);
-    uncommitted_.erase(head);
-  }
-  return head;
+  return OkStatus();
 }
 
 Status FileServer::ValidateAgainstSuccessor(PendingCommit* req, BlockNo c_head,
@@ -276,14 +164,175 @@ Status FileServer::ValidateAgainstSuccessor(PendingCommit* req, BlockNo c_head,
   return OkStatus();
 }
 
+void FileServer::CommitSegment(const std::vector<PendingCommit*>& segment,
+                               uint64_t prepare_txn) {
+  // No wrapping span here: the serialiser's commit.validate / commit.merge spans must stay
+  // DIRECT children of the leader's commit span (the critical-path analyzer sums direct
+  // children only).
+  const uint64_t file_id = segment.front()->info->file_id;
+  std::vector<PendingCommit*> live = segment;
+  // The index lags any commit it never saw; once a round shows that, validate from disk.
+  bool use_index = true;
+  for (int attempt = 1; !live.empty(); ++attempt) {
+    if (attempt > 256) {
+      for (PendingCommit* req : live) {
+        req->validation = ConflictError("commit starved by concurrent committers");
+      }
+      break;
+    }
+    // Validate every member against the committed successors of its base, up to the
+    // chain end. Each member's base reference advances to the last successor it covered.
+    std::vector<PendingCommit*> validated;
+    for (PendingCommit* req : live) {
+      req->validation = ValidateToChainEnd(req, use_index);
+      if (req->validation.ok()) {
+        validated.push_back(req);
+      }
+    }
+    if (validated.empty()) {
+      break;
+    }
+    // The segment is based on one tip, so every member must have covered the chain up to
+    // the same head. A disagreement means the chain grew mid-round or the index lags a
+    // commit it never saw: validate the stragglers again.
+    const BlockNo tip = validated.front()->root.base_ref;
+    if (std::any_of(validated.begin(), validated.end(),
+                    [tip](PendingCommit* req) { return req->root.base_ref != tip; })) {
+      use_index = false;
+      live = std::move(validated);
+      continue;
+    }
+
+    // Test each member against the mates accepted before it — they will be serialised
+    // between its base and its commit. Signatures decide in memory; kConflict is exact
+    // (abort), kUnknown sets the member aside to run as its own segment once this one is
+    // published (a mate-merge here would graft references to still-uncommitted pages).
+    live.clear();
+    for (PendingCommit* req : validated) {
+      SigVerdict verdict = SigVerdict::kNoopMerge;
+      for (PendingCommit* mate : live) {
+        serialise_tests_ctr_->Inc();
+        verdict = TestSigs(req->info->sig, mate->info->sig);
+        if (verdict != SigVerdict::kNoopMerge) {
+          break;
+        }
+        commit_sig_fast_->Inc();
+      }
+      if (verdict == SigVerdict::kConflict) {
+        req->validation = ConflictError("update not serialisable with committed version");
+      } else if (verdict == SigVerdict::kUnknown) {
+        req->deferred = true;
+      } else {
+        if (!live.empty()) {
+          req->fast_path = false;  // group predecessors exist; skip reshare conservatively
+        }
+        live.push_back(req);
+      }
+    }
+
+    // Link the members into one chain segment m1 -> ... -> mn (base references forward,
+    // commit references backward), persist every root in one vectored write, then publish
+    // the WHOLE segment with a single test-and-set on the tip. Before the flip the segment
+    // is unreachable from the chain, so a failure here only leaves garbage for the GC.
+    std::vector<PageStore::PendingOverwrite> writes;
+    writes.reserve(live.size());
+    for (size_t i = 0; i < live.size(); ++i) {
+      Page& root = live[i]->root;
+      root.base_ref = i == 0 ? tip : live[i - 1]->info->head;
+      root.commit_ref = i + 1 < live.size() ? live[i + 1]->info->head : kNilRef;
+      root.prepare_txn = prepare_txn;
+      PageStore::PendingOverwrite po;
+      po.head = live[i]->info->head;
+      po.page = root;
+      writes.push_back(std::move(po));
+    }
+    Status persisted = pages_.OverwritePages(std::move(writes));
+    if (!persisted.ok()) {
+      for (PendingCommit* req : live) {
+        req->validation = persisted;
+      }
+      break;
+    }
+    obs::ScopedSpan flip_span("commit.flip", obs::SpanKind::kPhase, tip, live.size());
+    BlockNo foreign = kNilRef;
+    Result<bool> won = TestAndSetCommitRef(tip, live.front()->info->head, &foreign);
+    flip_span.End();
+    if (!won.ok()) {
+      // Over a lossy transport the commit-reference write may have been APPLIED even though
+      // the call reported failure, so the segment could already be published. Do NOT abort
+      // — that would free blocks a committed chain might reference. Return the error to
+      // each member and leave cleanup to explicit abort/GC.
+      index_.ForgetFile(file_id);
+      for (PendingCommit* req : live) {
+        req->result = won.status();
+      }
+      break;
+    }
+    if (*won) {
+      obs::ScopedSpan finish_span("commit.finish", obs::SpanKind::kPhase, file_id, live.size());
+      for (PendingCommit* req : live) {
+        req->result = req->info->head;
+        if (prepare_txn == 0) {
+          FinishCommit(req);
+        }
+      }
+      break;
+    }
+    // Lost to a committer the index never saw (another server, or an in-doubt prepare):
+    // un-link and validate the members against the new successors. The suffix stays; the
+    // next commit of the file restarts it (VersionIndex::OnCommit).
+    group_fallbacks_->Inc();
+    use_index = false;
+    for (PendingCommit* req : live) {
+      req->root.base_ref = tip;
+      req->root.commit_ref = kNilRef;
+    }
+  }
+
+  // The one conflict exit: "When serialise returns FALSE, the concurrent updates are not
+  // serialisable, and V.b is removed, and its owner notified."
+  for (PendingCommit* req : segment) {
+    if (req->validation.ok()) {
+      continue;
+    }
+    req->outcome = req->validation.code() == ErrorCode::kConflict ? commit_conflicts_ : nullptr;
+    obs::Trace(obs::TraceEvent::kCommitConflict, req->info->head, 0);
+    obs::ScopedSpan abort_span("commit.abort", obs::SpanKind::kPhase, req->info->head, 0);
+    (void)AbortLocked(req->info);
+    req->result = req->validation;
+  }
+}
+
+void FileServer::FinishCommit(PendingCommit* req) {
+  VersionInfo* info = req->info;
+  const BlockNo head = info->head;
+  // Current-version bookkeeping, §5.3 sub-file commit completion, and the §5.1 reshare
+  // pass.
+  const bool reshare = options_.reshare_on_commit && req->fast_path;
+  IndexCommitted(info, req->root.base_ref, req->root, reshare);
+  if (info->is_super_update) {
+    Status st = FinishSuperCommit(info);
+    if (!st.ok()) {
+      req->result = st;
+      return;
+    }
+  }
+  if (reshare) {
+    (void)ReshareCleanPages(head);  // best effort; failures leave extra garbage for the GC
+  }
+  req->outcome = req->fast_path ? commit_fast_path_ : commit_validated_;
+  if (req->fast_path) {
+    obs::Trace(obs::TraceEvent::kCommitFastPath, head);
+  }
+  std::lock_guard<std::mutex> lock(versions_mu_);
+  uncommitted_.erase(head);  // destroys req->info; nothing touches it past here
+}
+
 void FileServer::IndexCommitted(VersionInfo* info, BlockNo base, const Page& root,
                                 bool reshared) {
   {
     std::lock_guard<std::mutex> lock(table_mu_);
     current_cache_[info->file_id] = info->head;
-  }
-  if (!VersionIndexEnabled()) {
-    return;
   }
   VersionIndex::CommittedRec rec;
   rec.head = info->head;
@@ -324,7 +373,7 @@ Result<BlockNo> FileServer::CommitGrouped(VersionInfo* info, Page root,
     std::vector<PendingCommit*> batch;
     batch.swap(commit_queue_);
     lock.unlock();
-    ProcessCommitBatch(&batch);
+    ProcessCommitBatch(batch);
     lock.lock();
     for (PendingCommit* staged : batch) {
       staged->done = true;
@@ -337,13 +386,10 @@ Result<BlockNo> FileServer::CommitGrouped(VersionInfo* info, Page root,
   return req.result;
 }
 
-void FileServer::ProcessCommitBatch(std::vector<PendingCommit*>* batch) {
-  for (PendingCommit* req : *batch) {
-    req->group_size = batch->size();
-  }
+void FileServer::ProcessCommitBatch(const std::vector<PendingCommit*>& batch) {
   // Group by file, preserving arrival order within each file.
   std::vector<std::pair<uint64_t, std::vector<PendingCommit*>>> groups;
-  for (PendingCommit* req : *batch) {
+  for (PendingCommit* req : batch) {
     auto it = std::find_if(groups.begin(), groups.end(),
                            [&](const auto& g) { return g.first == req->info->file_id; });
     if (it == groups.end()) {
@@ -352,291 +398,25 @@ void FileServer::ProcessCommitBatch(std::vector<PendingCommit*>* batch) {
       it->second.push_back(req);
     }
   }
-  // Different files share no version-chain state, so their groups validate and flip
-  // concurrently when parallel validation is on.
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(groups.size());
   for (auto& [file_id, group] : groups) {
-    uint64_t fid = file_id;
-    std::vector<PendingCommit*>* grp = &group;
-    tasks.emplace_back([this, fid, grp] { ProcessFileCommitGroup(fid, grp); });
-  }
-  RunParallel(&tasks, ParallelValidateEnabled() ? 4 : 1);
-}
-
-void FileServer::ProcessFileCommitGroup(uint64_t file_id, std::vector<PendingCommit*>* group) {
-  commit_group_size_->Record(group->size());
-  // No wrapping span here: the serialiser's commit.validate / commit.merge spans must stay
-  // DIRECT children of the leader's commit span (the critical-path analyzer sums direct
-  // children only). Everything else this function does off the serialiser is in-memory and
-  // nanosecond-scale.
-
-  // Current tip of the file's committed chain. The hint needs no up-front verification —
-  // the one test-and-set below arbitrates, and phase 1 defers any request whose base the
-  // hint does not dominate — but a stale hint costs a lost flip and the serial fallback.
-  BlockNo tip = kNilRef;
-  if (VersionIndexEnabled()) {
-    if (auto hint = index_.CurrentHint(file_id)) {
-      index_hits_->Inc();
-      tip = *hint;
-    }
-  }
-  if (tip == kNilRef) {
-    if (VersionIndexEnabled()) {
-      index_misses_->Inc();
-    }
-    auto cur = FindCurrentHead(file_id);
-    if (!cur.ok()) {
-      for (PendingCommit* req : *group) {
-        req->result = cur.status();
-      }
-      return;
-    }
-    tip = *cur;
-  }
-
-  // Phase 1: validate every request against the committed successors of its base, up to
-  // the chain's end. Requests only touch their own private trees here, so they validate
-  // concurrently when parallel validation is on.
-  auto validate_request = [this, file_id, tip](PendingCommit* req) {
-    const BlockNo base = req->root.base_ref;
-    std::vector<VersionIndex::CommittedRec> recs;
-    bool from_index = false;
-    if (VersionIndexEnabled() && index_.SuccessorsAfter(file_id, base, &recs)) {
-      from_index = true;
-      index_hits_->Inc();
-    }
-    if (!from_index) {
-      if (VersionIndexEnabled()) {
-        index_misses_->Inc();
-      }
-      BlockNo cur = base;
-      bool reached_end = false;
-      for (int step = 0; step < 4096; ++step) {
-        auto page = LoadPageUncached(cur);
-        if (!page.ok()) {
-          req->validation = page.status();
-          return;
-        }
-        if (page->prepare_txn != 0) {
-          // In-doubt cross-shard tip: not committed, cannot be validated against or
-          // chained behind. Conflict-abort; the client retries after the decision.
-          req->validation =
-              ConflictError("file has an in-doubt cross-shard commit in progress");
-          return;
-        }
-        if (page->commit_ref == kNilRef) {
-          reached_end = true;
-          break;
-        }
-        cur = page->commit_ref;
-        recs.push_back(VersionIndex::CommittedRec{cur, nullptr, nullptr});
-      }
-      if (!reached_end) {
-        // Step cap hit before the chain end: `recs` is a truncated view and validating
-        // against it alone would silently skip successors. Defer to the serial loop,
-        // which validates one flip at a time and aborts loudly if it starves.
-        req->defer_serial = true;
-        return;
+    commit_group_size_->Record(group.size());
+    // Super-file updates always commit as a segment of one: their §5.3 sub-file commit
+    // completion is a post-flip step of their own.
+    std::vector<PendingCommit*> segment;
+    for (PendingCommit* req : group) {
+      req->deferred = req->info->is_super_update;
+      if (!req->deferred) {
+        segment.push_back(req);
       }
     }
-    // The segment will be based on `tip`, so `tip` must be at-or-after this base on the
-    // chain (base itself, or one of its successors). A hint that lags — e.g. a commit the
-    // index never saw — would otherwise re-base this request onto an ANCESTOR of its own
-    // base and the fallback would validate it against its own history. Defer instead.
-    bool tip_at_or_after_base = base == tip;
-    for (const VersionIndex::CommittedRec& rec : recs) {
-      if (rec.head == tip) {
-        tip_at_or_after_base = true;
-        break;
+    if (!segment.empty()) {
+      CommitSegment(segment, /*prepare_txn=*/0);
+    }
+    for (PendingCommit* req : group) {
+      if (req->deferred) {
+        CommitSegment({req}, /*prepare_txn=*/0);
       }
     }
-    if (!tip_at_or_after_base) {
-      req->defer_serial = true;
-      return;
-    }
-    for (const VersionIndex::CommittedRec& rec : recs) {
-      Status st = ValidateAgainstSuccessor(req, rec.head, rec.sig.get(), rec.root.get());
-      if (!st.ok()) {
-        req->validation = st;
-        return;
-      }
-    }
-    req->validated_end = recs.empty() ? base : recs.back().head;
-  };
-  {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(group->size());
-    for (PendingCommit* req : *group) {
-      tasks.emplace_back([&validate_request, req] { validate_request(req); });
-    }
-    RunParallel(&tasks, ParallelValidateEnabled() ? 4 : 1);
-  }
-
-  // Phase 2 (serial, arrival order): test each survivor against the group-mates accepted
-  // before it — they will be serialised between its base and its commit. Signatures decide
-  // in memory; kConflict is exact (abort), kUnknown defers the request to the serial path
-  // after the flip (a mate-merge here would graft references to pages that are still
-  // uncommitted, which the flip-failure fallback could leave dangling).
-  std::vector<PendingCommit*> accepted;
-  std::unordered_set<PendingCommit*> deferred;
-  for (PendingCommit* req : *group) {
-    if (!req->validation.ok()) {
-      continue;
-    }
-    if (req->defer_serial) {
-      deferred.insert(req);  // phase 1 could not cover its chain; classic loop instead
-      continue;
-    }
-    bool defer = false;
-    for (PendingCommit* mate : accepted) {
-      serialise_tests_ctr_->Inc();
-      switch (TestSigs(req->info->sig, mate->info->sig)) {
-        case SigVerdict::kConflict:
-          req->validation = ConflictError("update not serialisable with committed version");
-          break;
-        case SigVerdict::kNoopMerge:
-          commit_sig_fast_->Inc();
-          continue;
-        case SigVerdict::kUnknown:
-          defer = true;
-          break;
-      }
-      break;
-    }
-    if (!req->validation.ok()) {
-      continue;
-    }
-    if (defer) {
-      deferred.insert(req);
-      continue;
-    }
-    if (!accepted.empty()) {
-      req->fast_path = false;  // group predecessors exist; skip reshare conservatively
-    }
-    accepted.push_back(req);
-  }
-
-  // Pre-link the winners into one chain segment w1 -> ... -> wn (base references forward,
-  // commit references backward), persist all roots in one vectored write, then publish the
-  // WHOLE segment with a single test-and-set on the old tip. Before the flip the segment
-  // is unreachable from the chain, so a crash here only leaves garbage for the GC.
-  bool flipped = false;
-  bool persisted = false;
-  Status persist_st = OkStatus();  // pre-flip failure: the segment is still unreachable
-  Status flip_err = OkStatus();    // flip RPC error: the flip MAY have been applied
-  std::vector<BlockNo> heads;
-  heads.reserve(accepted.size());
-  for (PendingCommit* req : accepted) {
-    heads.push_back(req->info->head);
-  }
-  if (!accepted.empty()) {
-    for (size_t i = 0; i < accepted.size(); ++i) {
-      accepted[i]->root.base_ref = i == 0 ? tip : heads[i - 1];
-      accepted[i]->root.commit_ref = i + 1 < accepted.size() ? heads[i + 1] : kNilRef;
-    }
-    std::vector<PageStore::PendingOverwrite> writes;
-    writes.reserve(accepted.size());
-    for (PendingCommit* req : accepted) {
-      PageStore::PendingOverwrite po;
-      po.head = req->info->head;
-      po.page = req->root;
-      writes.push_back(std::move(po));
-    }
-    persist_st = pages_.OverwritePages(std::move(writes));
-    persisted = persist_st.ok();
-    if (persisted) {
-      obs::ScopedSpan flip_span("commit.flip", obs::SpanKind::kPhase, tip, accepted.size());
-      BlockNo foreign = kNilRef;
-      auto won = TestAndSetCommitRef(tip, heads[0], &foreign);
-      if (!won.ok()) {
-        flip_err = won.status();
-      } else {
-        flipped = *won;
-      }
-    }
-  }
-
-  if (!accepted.empty() && flipped) {
-    obs::ScopedSpan finish_span("commit.finish", obs::SpanKind::kPhase, file_id,
-                                accepted.size());
-    for (size_t i = 0; i < accepted.size(); ++i) {
-      PendingCommit* req = accepted[i];
-      const BlockNo base = i == 0 ? tip : heads[i - 1];
-      const bool reshare = options_.reshare_on_commit && req->fast_path;
-      IndexCommitted(req->info, base, req->root, reshare);
-      if (reshare) {
-        (void)ReshareCleanPages(heads[i]);  // best effort
-      }
-      req->outcome = req->fast_path ? commit_fast_path_ : commit_validated_;
-      if (req->fast_path) {
-        obs::Trace(obs::TraceEvent::kCommitFastPath, heads[i]);
-      }
-      req->result = heads[i];
-      std::lock_guard<std::mutex> lock(versions_mu_);
-      uncommitted_.erase(heads[i]);  // destroys req->info; nothing touches it past here
-    }
-  } else if (!accepted.empty() && !persisted) {
-    // Persisting the segment roots failed BEFORE the flip: nothing made the segment
-    // reachable, so aborting (which frees the versions' blocks) is safe.
-    for (PendingCommit* req : accepted) {
-      req->validation = persist_st;
-    }
-  } else if (!accepted.empty() && !flip_err.ok()) {
-    // The flip call itself errored. Over a lossy transport the commit-reference write may
-    // have been APPLIED even though the call reported failure (reply dropped, timeout), so
-    // the segment could already be published. Do NOT abort — that would free blocks a
-    // committed chain might reference. Return the error to each requester, exactly as the
-    // serial path propagates a flip error, and leave cleanup to explicit abort/GC.
-    if (VersionIndexEnabled()) {
-      index_.ForgetFile(file_id);  // tip state is unknown now; drop the suffix
-    }
-    for (PendingCommit* req : accepted) {
-      req->result = flip_err;
-    }
-  } else if (!accepted.empty()) {
-    // The flip cleanly lost to a foreign committer. Un-link the segment in memory,
-    // re-base each winner onto the chain end its own validation covered (NEVER `tip`,
-    // which under a stale hint can sit behind a member's base), re-persist the corrected
-    // root — the on-disk copy still carries the segment links, and the serial loop may
-    // win its first flip without rewriting it — then run the classic serial path.
-    group_fallbacks_->Inc();
-    if (VersionIndexEnabled()) {
-      index_.ForgetFile(file_id);  // the index missed a foreign commit; drop the suffix
-    }
-    for (PendingCommit* req : accepted) {
-      req->root.commit_ref = kNilRef;
-      req->root.base_ref = req->validated_end;
-      Status st = pages_.OverwritePage(req->info->head, req->root);
-      if (!st.ok()) {
-        req->validation = st;  // root state uncertain but unreachable: abort is safe
-      } else {
-        deferred.insert(req);
-      }
-    }
-  }
-
-  // Deferred requests (sig-undecidable against mates, or flip-fallback) run the classic
-  // serial loop now, in arrival order, against the freshly extended on-disk chain.
-  for (PendingCommit* req : *group) {
-    if (deferred.count(req) == 0) {
-      continue;
-    }
-    obs::Counter* outcome = nullptr;
-    req->result = CommitSerialLocked(req->info, std::move(req->root), &outcome);
-    req->outcome = outcome;
-  }
-
-  // Validation failures: remove the version and notify the owner (§5.2).
-  for (PendingCommit* req : *group) {
-    if (req->validation.ok()) {
-      continue;
-    }
-    req->outcome = req->validation.code() == ErrorCode::kConflict ? commit_conflicts_ : nullptr;
-    obs::Trace(obs::TraceEvent::kCommitConflict, req->info->head, 0);
-    obs::ScopedSpan abort_span("commit.abort", obs::SpanKind::kPhase, req->info->head, 0);
-    (void)AbortLocked(req->info);
-    req->result = req->validation;
   }
 }
 
@@ -664,17 +444,14 @@ Status FileServer::FinishSuperCommit(VersionInfo* info) {
         std::lock_guard<std::mutex> lock(table_mu_);
         current_cache_[new_page->file_cap.object] = new_head;
       }
-      if (VersionIndexEnabled()) {
-        // Index the sub-file commit too: a commit the index misses leaves CurrentHint
-        // pointing BEHIND the sub-file's chain tip, and the group combiner must never
-        // adopt such a tip as a segment base. No signature (the super update's signature
-        // covers the super tree, not this sub-file); the root snapshot is safe because
-        // sub-file version pages are never reshared.
-        VersionIndex::CommittedRec rec;
-        rec.head = new_head;
-        rec.root = std::make_shared<const Page>(*new_page);
-        index_.OnCommit(new_page->file_cap.object, old_head, std::move(rec));
-      }
+      // Index the sub-file commit too, so later commits of the sub-file find their
+      // successors in memory. No signature (the super update's signature covers the super
+      // tree, not this sub-file); the root snapshot is safe because sub-file version pages
+      // are never reshared.
+      VersionIndex::CommittedRec rec;
+      rec.head = new_head;
+      rec.root = std::make_shared<const Page>(*new_page);
+      index_.OnCommit(new_page->file_cap.object, old_head, std::move(rec));
     }
   }
   for (BlockNo sub_head : info->locked_subfiles) {

@@ -8,11 +8,8 @@
 #include <mutex>
 #include <utility>
 
-#include "src/core/commit_tuning.h"
 #include "src/core/file_server.h"
-#include "src/core/serialise.h"
 #include "src/obs/span.h"
-#include "src/obs/trace.h"
 
 namespace afs {
 
@@ -46,55 +43,19 @@ Result<BlockNo> FileServer::Prepare(const Capability& version, uint64_t txn_id) 
     // are not covered by the single in-doubt marker.
     return InvalidArgumentError("super-file updates cannot join a cross-shard commit");
   }
-  ASSIGN_OR_RETURN(Page root, LoadPageUncached(head));
-
-  // The §5.2 validate loop, staging instead of committing. Each attempt persists the
-  // marker first, then test-and-sets the base's commit reference: the flip is what makes
-  // the staged root reachable, so readers can never see it without the marker.
-  int attempts = 0;
-  for (;;) {
-    if (++attempts > 256) {
+  // The §5.2 loop as a segment of one, staging instead of committing: the in-doubt marker
+  // is persisted with the root before the flip that makes the root reachable, so readers
+  // can never see the staged version without the marker.
+  PendingCommit req;
+  req.info = info;
+  ASSIGN_OR_RETURN(req.root, LoadPageUncached(head));
+  CommitSegment({&req}, txn_id);
+  if (!req.result.ok()) {
+    if (req.result.status().code() == ErrorCode::kConflict) {
       shard_prepare_conflicts_->Inc();
-      (void)AbortLocked(info);
-      return ConflictError("prepare starved by concurrent committers");
     }
-    root.prepare_txn = txn_id;
-    root.commit_ref = kNilRef;
-    RETURN_IF_ERROR(pages_.OverwritePage(head, root));
-    BlockNo successor = kNilRef;
-    obs::ScopedSpan flip_span("commit.flip", obs::SpanKind::kPhase, root.base_ref, 0);
-    ASSIGN_OR_RETURN(bool won, TestAndSetCommitRef(root.base_ref, head, &successor));
-    flip_span.End();
-    if (won) {
-      break;
-    }
-    // The base has a successor: validate against it and re-base, exactly like the serial
-    // commit loop — unless the successor is itself in doubt, which nothing may chain
-    // behind or validate against.
-    auto succ = LoadPageUncached(successor);
-    if (!succ.ok()) {
-      (void)AbortLocked(info);
-      return succ.status();
-    }
-    if (succ->prepare_txn != 0) {
-      shard_prepare_conflicts_->Inc();
-      span.set_status(static_cast<uint8_t>(ErrorCode::kConflict));
-      (void)AbortLocked(info);
-      return ConflictError("file has another in-doubt cross-shard commit in progress");
-    }
-    PendingCommit req;
-    req.info = info;
-    req.root = std::move(root);
-    Status st = ValidateAgainstSuccessor(&req, successor, nullptr, &*succ);
-    root = std::move(req.root);
-    if (!st.ok()) {
-      shard_prepare_conflicts_->Inc();
-      span.set_status(static_cast<uint8_t>(st.code()));
-      obs::Trace(obs::TraceEvent::kCommitConflict, head, successor);
-      (void)AbortLocked(info);
-      return st;
-    }
-    root.base_ref = successor;
+    span.set_status(static_cast<uint8_t>(req.result.status().code()));
+    return req.result.status();
   }
 
   shard_prepares_->Inc();
@@ -102,7 +63,7 @@ Result<BlockNo> FileServer::Prepare(const Capability& version, uint64_t txn_id) 
   PreparedRec rec;
   rec.file_id = info->file_id;
   rec.head = head;
-  rec.base_head = root.base_ref;
+  rec.base_head = req.root.base_ref;
   rec.allocated_blocks = std::move(info->allocated_blocks);
   rec.know_allocations = true;
   rec.sig = std::move(info->sig);
@@ -141,7 +102,7 @@ Status FileServer::Decide(uint64_t txn_id, bool commit) {
       std::lock_guard<std::mutex> lock(table_mu_);
       current_cache_[rec.file_id] = rec.head;
     }
-    if (VersionIndexEnabled() && page.ok()) {
+    if (page.ok()) {
       VersionIndex::CommittedRec vrec;
       vrec.head = rec.head;
       if (rec.sig.valid) {

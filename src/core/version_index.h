@@ -22,9 +22,10 @@
 // The index is a CACHE, never an arbiter: the §5.2 test-and-set on the on-disk commit
 // reference stays the single source of truth. Every entry records a contiguous suffix of
 // one file's committed chain as THIS server saw it; a commit by another server shows up as
-// a failed flip, which invalidates the file's entry and falls back to the chain walk. The
-// index is rebuilt (heads only) when the server re-attaches to the store after a crash,
-// and fsck verifies it against the on-disk chains (fsck.h, invariant I7).
+// a lost flip, after which that commit validates by chain walk and restarts the file's
+// suffix when it lands (OnCommit). The index is rebuilt (heads only) when the server
+// re-attaches to the store after a crash, and fsck verifies it against the on-disk chains
+// (fsck.h, invariant I7).
 
 #ifndef SRC_CORE_VERSION_INDEX_H_
 #define SRC_CORE_VERSION_INDEX_H_

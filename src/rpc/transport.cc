@@ -17,8 +17,6 @@ thread_local uint64_t t_thread_calls = 0;
 
 uint64_t Transport::ThreadCalls() { return t_thread_calls; }
 
-void Transport::AddThreadCalls(uint64_t n) { t_thread_calls += n; }
-
 Transport::Transport(std::string metrics_name)
     : metrics_(std::move(metrics_name)),
       uid_(g_transport_uid.fetch_add(1, std::memory_order_relaxed)) {}

@@ -110,10 +110,6 @@ class Transport {
   // increasing. Delta around a code region = that region's RPC cost on this thread (used
   // by the commit path's commit.rpcs histogram). Counts logical calls, not retransmits.
   static uint64_t ThreadCalls();
-  // Fold `n` calls performed on this thread's behalf elsewhere (e.g. by a joined worker
-  // thread) into the current thread's ThreadCalls() count, so delta-based samplers keep
-  // seeing the full cost of work a caller fanned out.
-  static void AddThreadCalls(uint64_t n);
   uint64_t dropped_calls() const { return timeouts_->value(); }
   uint64_t dropped_replies() const { return reply_drops_->value(); }
   uint64_t retransmits() const { return retransmits_->value(); }

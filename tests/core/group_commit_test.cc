@@ -1,15 +1,16 @@
-// Deterministic serialiser-equivalence tests for the commit-path mechanisms (docs/PERF.md
-// §5): transaction group commit, the in-memory version index, and parallel validation must
-// be pure performance — never visible in outcomes.
+// Deterministic serialiser-equivalence tests for the commit combiner and its one §5.2
+// segment loop (docs/PERF.md §5): grouping commits, the in-memory version index and the
+// signature fast path must be pure performance — never visible in outcomes.
 //
 // The core scheme: K overlapping transactions (each reads page 0 and then writes it, so
 // any two of them violate Kung–Robinson condition (2)) and M disjoint transactions (each
 // writes its own page) all branch from the same committed base. Submitted concurrently
-// through the group-commit combiner, EXACTLY K-1 must abort with kConflict and every
-// disjoint one must commit, and the resulting store must be byte-identical to committing
-// the same updates one at a time with group commit and parallel validation switched off
-// (the classic serial §5.2 path). A seeded shuffle varies the arrival order across rounds,
-// so a scheduling-order dependence would show up as a flaky diff, not a lucky pass.
+// through the combiner, EXACTLY K-1 must abort with kConflict and every disjoint one must
+// commit, and the resulting store must be byte-identical to committing the same
+// transactions one at a time (each a segment of one). A seeded shuffle varies the arrival
+// order across rounds, so a scheduling-order dependence would show up as a flaky diff,
+// not a lucky pass. A second FileServer on the same store supplies the commits one
+// server's index never sees, which drives the lost-flip path of the loop.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/commit_tuning.h"
 #include "src/core/fsck.h"
 #include "tests/testing/cluster.h"
 
@@ -31,15 +31,9 @@ std::vector<uint8_t> Bytes(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
 }
 
-// Every test in this binary mutates the process-global commit tuning switches; restore
-// the defaults no matter how the test exits.
-struct TuningGuard {
-  ~TuningGuard() {
-    SetGroupCommitEnabled(true);
-    SetVersionIndexEnabled(true);
-    SetParallelValidateEnabled(true);
-  }
-};
+uint64_t Count(FileServer& fs, const char* name) {
+  return fs.metrics()->counter(name)->value();
+}
 
 constexpr int kOverlapping = 4;  // read-then-write page 0: mutually conflicting
 constexpr int kDisjoint = 6;     // transaction j writes page 1+j: conflict-free
@@ -60,26 +54,33 @@ Capability MakeFile(FileServer& fs) {
   return *file;
 }
 
+// One transaction: the server that manages its version, and the version.
+struct Txn {
+  FileServer* fs;
+  Capability version;
+};
+
 // Build the K+M transactions off the SAME committed base (all versions are created before
-// any of them commits) and return their handles in a seed-shuffled submission order. All
-// overlapping transactions write identical bytes, so the final state does not depend on
-// WHICH of them wins — only on exactly one winning.
-std::vector<Capability> PrepareTxns(FileServer& fs, const Capability& file, uint32_t seed) {
-  std::vector<Capability> txns;
-  for (int k = 0; k < kOverlapping; ++k) {
+// any of them commits), transaction i on servers[i % n], and return them in a
+// seed-shuffled submission order. All overlapping transactions write identical bytes, so
+// the final state does not depend on WHICH of them wins — only on exactly one winning.
+std::vector<Txn> PrepareTxns(const std::vector<FileServer*>& servers, const Capability& file,
+                             uint32_t seed) {
+  std::vector<Txn> txns;
+  for (int i = 0; i < kOverlapping + kDisjoint; ++i) {
+    FileServer& fs = *servers[i % servers.size()];
     auto v = fs.CreateVersion(file, kNullPort, false);
     EXPECT_TRUE(v.ok());
-    EXPECT_TRUE(fs.ReadPage(*v, PagePath({0}), false).ok());
-    EXPECT_TRUE(fs.WritePage(*v, PagePath({0}), Bytes("contended")).ok());
-    txns.push_back(*v);
-  }
-  for (int j = 0; j < kDisjoint; ++j) {
-    auto v = fs.CreateVersion(file, kNullPort, false);
-    EXPECT_TRUE(v.ok());
-    EXPECT_TRUE(fs.WritePage(*v, PagePath({static_cast<uint32_t>(1 + j)}),
-                             Bytes("disjoint" + std::to_string(j)))
-                    .ok());
-    txns.push_back(*v);
+    if (i < kOverlapping) {
+      EXPECT_TRUE(fs.ReadPage(*v, PagePath({0}), false).ok());
+      EXPECT_TRUE(fs.WritePage(*v, PagePath({0}), Bytes("contended")).ok());
+    } else {
+      const int j = i - kOverlapping;
+      EXPECT_TRUE(fs.WritePage(*v, PagePath({static_cast<uint32_t>(1 + j)}),
+                               Bytes("disjoint" + std::to_string(j)))
+                      .ok());
+    }
+    txns.push_back(Txn{&fs, *v});
   }
   std::mt19937 rng(seed);
   std::shuffle(txns.begin(), txns.end(), rng);
@@ -103,6 +104,10 @@ struct RunOutcome {
   size_t chain_length = 0;
 };
 
+// The initial empty version, MakeFile's commit, the one overlapping winner and every
+// disjoint transaction.
+constexpr size_t kChainLength = 3 + kDisjoint;
+
 RunOutcome FinalState(FileServer& fs, const Capability& file, int committed, int conflicts) {
   RunOutcome out;
   out.committed = committed;
@@ -117,18 +122,19 @@ RunOutcome FinalState(FileServer& fs, const Capability& file, int committed, int
 }
 
 // Submit every transaction's Commit from its own thread, released together.
-RunOutcome RunConcurrent(FileServer& fs, const Capability& file, uint32_t seed) {
-  std::vector<Capability> txns = PrepareTxns(fs, file, seed);
+RunOutcome RunConcurrent(const std::vector<FileServer*>& servers, const Capability& file,
+                         uint32_t seed) {
+  std::vector<Txn> txns = PrepareTxns(servers, file, seed);
   std::atomic<int> committed{0};
   std::atomic<int> conflicts{0};
   std::atomic<bool> go{false};
   std::vector<std::thread> workers;
-  for (const Capability& v : txns) {
-    workers.emplace_back([&, v] {
+  for (const Txn& txn : txns) {
+    workers.emplace_back([&, txn] {
       while (!go.load()) {
         std::this_thread::yield();
       }
-      auto result = fs.Commit(v);
+      auto result = txn.fs->Commit(txn.version);
       if (result.ok()) {
         committed.fetch_add(1);
       } else {
@@ -141,17 +147,17 @@ RunOutcome RunConcurrent(FileServer& fs, const Capability& file, uint32_t seed) 
   for (auto& w : workers) {
     w.join();
   }
-  return FinalState(fs, file, committed.load(), conflicts.load());
+  return FinalState(*servers[0], file, committed.load(), conflicts.load());
 }
 
 // The reference execution: the same transaction set, committed one at a time in the same
-// shuffled order over the serial validation path.
+// shuffled order, so every commit is a segment of one.
 RunOutcome RunSerial(FileServer& fs, const Capability& file, uint32_t seed) {
-  std::vector<Capability> txns = PrepareTxns(fs, file, seed);
+  std::vector<Txn> txns = PrepareTxns({&fs}, file, seed);
   int committed = 0;
   int conflicts = 0;
-  for (const Capability& v : txns) {
-    auto result = fs.Commit(v);
+  for (const Txn& txn : txns) {
+    auto result = fs.Commit(txn.version);
     if (result.ok()) {
       ++committed;
     } else {
@@ -162,37 +168,38 @@ RunOutcome RunSerial(FileServer& fs, const Capability& file, uint32_t seed) {
   return FinalState(fs, file, committed, conflicts);
 }
 
+// Exactly K-1 of the overlapping transactions abort, everything else commits, and the
+// final state is byte-identical to the reference, version for version.
+void ExpectMatchesReference(const RunOutcome& outcome, const RunOutcome& reference) {
+  EXPECT_EQ(outcome.conflicts, kOverlapping - 1);
+  EXPECT_EQ(outcome.committed, 1 + kDisjoint);
+  EXPECT_EQ(outcome.pages, reference.pages);
+  EXPECT_EQ(outcome.chain_length, reference.chain_length);
+  EXPECT_EQ(outcome.chain_length, kChainLength);
+  EXPECT_EQ(outcome.pages[0], "contended");
+  for (int j = 0; j < kDisjoint; ++j) {
+    EXPECT_EQ(outcome.pages[1 + j], "disjoint" + std::to_string(j));
+  }
+}
+
 TEST(GroupCommitTest, ConcurrentOutcomeIsByteIdenticalToSerialExecution) {
-  TuningGuard guard;
   for (uint32_t seed : {1u, 7u, 42u, 1985u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
 
-    SetGroupCommitEnabled(true);
-    SetVersionIndexEnabled(true);
-    SetParallelValidateEnabled(true);
     FastCluster grouped;
     Capability grouped_file = MakeFile(grouped.fs());
-    RunOutcome concurrent = RunConcurrent(grouped.fs(), grouped_file, seed);
+    RunOutcome concurrent = RunConcurrent({&grouped.fs()}, grouped_file, seed);
 
-    SetGroupCommitEnabled(false);
-    SetParallelValidateEnabled(false);
     FastCluster serial;
     Capability serial_file = MakeFile(serial.fs());
     RunOutcome reference = RunSerial(serial.fs(), serial_file, seed);
 
-    // Exactly K-1 of the overlapping transactions abort; everything else commits.
-    EXPECT_EQ(concurrent.conflicts, kOverlapping - 1);
-    EXPECT_EQ(concurrent.committed, 1 + kDisjoint);
     EXPECT_EQ(reference.conflicts, kOverlapping - 1);
     EXPECT_EQ(reference.committed, 1 + kDisjoint);
+    ExpectMatchesReference(concurrent, reference);
 
-    // Byte-identical final state, version for version.
-    EXPECT_EQ(concurrent.pages, reference.pages);
-    EXPECT_EQ(concurrent.chain_length, reference.chain_length);
-    EXPECT_EQ(concurrent.pages[0], "contended");
-    for (int j = 0; j < kDisjoint; ++j) {
-      EXPECT_EQ(concurrent.pages[1 + j], "disjoint" + std::to_string(j));
-    }
+    // Every loser was aborted, starved or not: nothing stays behind in the GC root set.
+    EXPECT_TRUE(grouped.fs().ListUncommitted().empty());
 
     // The grouped run's store and version index come out of the storm consistent (fsck
     // I1-I7; the aborted losers' pages are tolerated garbage awaiting GC).
@@ -202,62 +209,43 @@ TEST(GroupCommitTest, ConcurrentOutcomeIsByteIdenticalToSerialExecution) {
   }
 }
 
-TEST(GroupCommitTest, KillSwitchedCommitPathMatchesToo) {
-  // The same storm with group commit ON but the version index OFF (and vice versa) — the
-  // mechanisms must compose: any subset of switches yields the same outcome.
-  TuningGuard guard;
+TEST(GroupCommitTest, TwoServersConcurrentOutcomeMatchesSerial) {
+  // The same storm split across two FileServers on one store. Each server's index misses
+  // the other's commits, so segments lose flips and validate against foreign successors
+  // walked from disk — and the outcome must still equal the one-at-a-time reference.
   const uint32_t seed = 7;
-  struct Config {
-    bool group;
-    bool index;
-    bool parallel;
-  };
-  RunOutcome reference;
-  bool have_reference = false;
-  for (const Config& config : {Config{true, false, true}, Config{false, true, false},
-                               Config{true, true, false}, Config{false, false, false}}) {
-    SCOPED_TRACE("group=" + std::to_string(config.group) +
-                 " index=" + std::to_string(config.index) +
-                 " parallel=" + std::to_string(config.parallel));
-    SetGroupCommitEnabled(config.group);
-    SetVersionIndexEnabled(config.index);
-    SetParallelValidateEnabled(config.parallel);
-    FastCluster cluster;
-    Capability file = MakeFile(cluster.fs());
-    RunOutcome outcome = RunConcurrent(cluster.fs(), file, seed);
-    EXPECT_EQ(outcome.conflicts, kOverlapping - 1);
-    EXPECT_EQ(outcome.committed, 1 + kDisjoint);
-    if (have_reference) {
-      EXPECT_EQ(outcome.pages, reference.pages);
-      EXPECT_EQ(outcome.chain_length, reference.chain_length);
-    } else {
-      reference = outcome;
-      have_reference = true;
-    }
+  FastCluster serial;
+  Capability serial_file = MakeFile(serial.fs());
+  RunOutcome reference = RunSerial(serial.fs(), serial_file, seed);
+
+  FullCluster cluster(2);
+  Capability file = MakeFile(cluster.fs(0));
+  RunOutcome outcome = RunConcurrent({&cluster.fs(0), &cluster.fs(1)}, file, seed);
+  ExpectMatchesReference(outcome, reference);
+  EXPECT_GT(Count(cluster.fs(0), "commit.index_miss") + Count(cluster.fs(1), "commit.index_miss"),
+            0u);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(cluster.fs(i).ListUncommitted().empty());
+    FsckReport report = RunFsck(&cluster.fs(i));
+    EXPECT_TRUE(report.clean) << report.ToString();
   }
 }
 
 TEST(GroupCommitTest, StaleIndexTipDoesNotAbortValidCommit) {
-  // Regression: toggle the version-index kill switch off across one commit, so the
-  // index's current-tip hint lags the real chain tip, then commit an update based on the
-  // REAL tip through the group path. The combiner must never re-base the request onto the
-  // stale hint — an ANCESTOR of its own base — which used to make the flip-loss fallback
-  // validate the transaction against its own base and abort it as a spurious conflict.
-  TuningGuard guard;
-  SetGroupCommitEnabled(true);
-  SetVersionIndexEnabled(true);
-  SetParallelValidateEnabled(true);
-  FastCluster cluster;
-  FileServer& fs = cluster.fs();
+  // Regression: a second server commits, so the first server's index — and its
+  // current-tip hint — lags the real chain tip. An update based on the REAL tip must
+  // validate only against successors of its own base, never against its own history
+  // (which used to abort it as a spurious conflict).
+  FullCluster cluster(2);
+  FileServer& fs = cluster.fs(0);
   Capability file = MakeFile(fs);
 
-  SetVersionIndexEnabled(false);  // the index misses this commit...
-  auto v2 = fs.CreateVersion(file, kNullPort, false);
+  // The foreign commit fs(0)'s index misses.
+  auto v2 = cluster.fs(1).CreateVersion(file, kNullPort, false);
   ASSERT_TRUE(v2.ok());
-  ASSERT_TRUE(fs.ReadPage(*v2, PagePath({0}), false).ok());
-  ASSERT_TRUE(fs.WritePage(*v2, PagePath({0}), Bytes("second")).ok());
-  ASSERT_TRUE(fs.Commit(*v2).ok());
-  SetVersionIndexEnabled(true);  // ...so its tip hint now lags the chain
+  ASSERT_TRUE(cluster.fs(1).ReadPage(*v2, PagePath({0}), false).ok());
+  ASSERT_TRUE(cluster.fs(1).WritePage(*v2, PagePath({0}), Bytes("second")).ok());
+  ASSERT_TRUE(cluster.fs(1).Commit(*v2).ok());
 
   // Based on the true current version, and touching exactly the page v2 wrote: testing it
   // against v2 (its own base) would report a conflict that does not exist.
@@ -273,15 +261,49 @@ TEST(GroupCommitTest, StaleIndexTipDoesNotAbortValidCommit) {
   EXPECT_TRUE(report.clean) << report.ToString();
 }
 
+TEST(GroupCommitTest, LostFlipRevalidatesAgainstForeignCommit) {
+  // A version staged on fs(0) before fs(1) commits: fs(0)'s index says its base is still
+  // the tip, so the first flip loses. The loop must validate against the foreign
+  // successor, merge, and win the second flip — and a real conflict must still abort.
+  FullCluster cluster(2);
+  FileServer& fs = cluster.fs(0);
+  Capability file = MakeFile(fs);
+
+  auto mine = fs.CreateVersion(file, kNullPort, false);
+  auto clash = fs.CreateVersion(file, kNullPort, false);
+  ASSERT_TRUE(mine.ok() && clash.ok());
+  ASSERT_TRUE(fs.ReadPage(*mine, PagePath({0}), false).ok());
+  ASSERT_TRUE(fs.WritePage(*mine, PagePath({0}), Bytes("mine")).ok());
+  ASSERT_TRUE(fs.ReadPage(*clash, PagePath({1}), false).ok());
+  ASSERT_TRUE(fs.WritePage(*clash, PagePath({2}), Bytes("clash")).ok());
+
+  auto foreign = cluster.fs(1).CreateVersion(file, kNullPort, false);
+  ASSERT_TRUE(foreign.ok());
+  ASSERT_TRUE(cluster.fs(1).WritePage(*foreign, PagePath({1}), Bytes("foreign")).ok());
+  ASSERT_TRUE(cluster.fs(1).Commit(*foreign).ok());
+
+  auto committed = fs.Commit(*mine);
+  ASSERT_TRUE(committed.ok()) << committed.status();
+  EXPECT_EQ(Count(fs, "commit.group_fallback"), 1u);
+  EXPECT_EQ(ReadCurrent(fs, file, 0), "mine");
+  EXPECT_EQ(ReadCurrent(fs, file, 1), "foreign");
+
+  // `clash` read page 1, which the foreign commit wrote: not serialisable, so aborted.
+  auto aborted = fs.Commit(*clash);
+  ASSERT_FALSE(aborted.ok());
+  EXPECT_EQ(aborted.status().code(), ErrorCode::kConflict);
+  EXPECT_TRUE(fs.ListUncommitted().empty());
+
+  for (int i = 0; i < 2; ++i) {
+    FsckReport report = RunFsck(&cluster.fs(i));
+    EXPECT_TRUE(report.clean) << report.ToString();
+  }
+}
+
 TEST(GroupCommitTest, SuperFileSubCommitKeepsIndexTipFresh) {
-  // Regression: FinishSuperCommit advances a sub-file's chain without going through the
-  // grouped commit path. The version index must record that commit too — a sub-file tip
-  // hint left behind its chain would otherwise send every later grouped commit of the
-  // sub-file into the stale-tip scenario above — and fsck I7 must stay clean.
-  TuningGuard guard;
-  SetGroupCommitEnabled(true);
-  SetVersionIndexEnabled(true);
-  SetParallelValidateEnabled(true);
+  // Regression: FinishSuperCommit advances a sub-file's chain outside the sub-file's own
+  // commit segments. The version index must record that commit too, and fsck I7 must stay
+  // clean.
   FastCluster cluster;
   FileServer& fs = cluster.fs();
 
@@ -325,13 +347,9 @@ TEST(GroupCommitTest, SuperFileSubCommitKeepsIndexTipFresh) {
 TEST(GroupCommitTest, GroupedCommitsAreObservable) {
   // Sanity that the concurrent storm actually exercises the new machinery: the version
   // index serves hits, and the signature fast path or serialiser tests ran.
-  TuningGuard guard;
-  SetGroupCommitEnabled(true);
-  SetVersionIndexEnabled(true);
-  SetParallelValidateEnabled(true);
   FastCluster cluster;
   Capability file = MakeFile(cluster.fs());
-  (void)RunConcurrent(cluster.fs(), file, 3);
+  (void)RunConcurrent({&cluster.fs()}, file, 3);
   EXPECT_GT(cluster.fs().index_hits(), 0u);
 }
 

@@ -164,8 +164,56 @@ TEST(CrossCommitTest, ConflictOnOneShardAbortsEveryShard) {
   EXPECT_EQ(*ReadText(cluster, *a), "after");
   for (FileServer* fs : cluster.Servers()) {
     EXPECT_TRUE(fs->ListInDoubt().empty());
+    // Both the conflicting prepare and the decided-abort prepare left nothing behind.
+    EXPECT_TRUE(fs->ListUncommitted().empty());
     EXPECT_TRUE(RunFsck(fs, {.fail_on_in_doubt = true}).clean);
   }
+}
+
+TEST(CrossCommitTest, PrepareRevalidatesAfterLostFlip) {
+  // A second FileServer on shard 0's store commits page 1 behind the first server's back,
+  // so the first server's index still names the old tip and the prepare's first flip
+  // loses. The prepare must validate against the foreign commit, merge it, and re-flip.
+  const std::vector<uint8_t> zero{'0'};
+  const std::vector<uint8_t> staged_byte{'s'};
+  const std::vector<uint8_t> plain_byte{'p'};
+  ShardCluster cluster(1);
+  FileServer& fs = cluster.fs(0);
+  FileServer other(&cluster.net(), "fs-shard0-peer", &cluster.store(0), fs.options());
+  other.Start();
+  ASSERT_TRUE(other.AttachStore().ok());
+
+  auto file = fs.CreateFile();
+  ASSERT_TRUE(file.ok());
+  auto init = fs.CreateVersion(*file, kNullPort, false);
+  ASSERT_TRUE(init.ok());
+  for (uint32_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(fs.InsertRef(*init, PagePath::Root(), i).ok());
+    ASSERT_TRUE(fs.WritePage(*init, PagePath({i}), zero).ok());
+  }
+  ASSERT_TRUE(fs.Commit(*init).ok());
+
+  auto staged = fs.CreateVersion(*file, kNullPort, false);
+  ASSERT_TRUE(staged.ok());
+  ASSERT_TRUE(fs.WritePage(*staged, PagePath({0}), staged_byte).ok());
+  auto plain = other.CreateVersion(*file, kNullPort, false);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(other.WritePage(*plain, PagePath({1}), plain_byte).ok());
+  ASSERT_TRUE(other.Commit(*plain).ok());
+
+  ASSERT_TRUE(fs.Prepare(*staged, /*txn_id=*/61).ok());
+  EXPECT_EQ(Count(fs, "commit.group_fallback"), 1u);
+  EXPECT_EQ(Count(fs, "shard.prepare_conflict"), 0u);
+  ASSERT_TRUE(fs.Decide(61, /*commit=*/true).ok());
+
+  auto current = fs.GetCurrentVersion(*file);
+  ASSERT_TRUE(current.ok());
+  auto page0 = fs.ReadPage(*current, PagePath({0}), false);
+  auto page1 = fs.ReadPage(*current, PagePath({1}), false);
+  ASSERT_TRUE(page0.ok() && page1.ok());
+  EXPECT_EQ(page0->data, staged_byte);
+  EXPECT_EQ(page1->data, plain_byte);
+  EXPECT_TRUE(RunFsck(&fs, {.fail_on_in_doubt = true}).clean);
 }
 
 TEST(CrossCommitTest, InDoubtTipIsInvisibleUntilDecided) {
