@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
+#include <functional>
 #include <future>
 #include <thread>
 #include <utility>
@@ -15,6 +18,12 @@
 
 namespace afs {
 namespace {
+
+// WriteLocalBatch's fan-out: a device write slower than this on average waits for a flush,
+// and concurrent writes can share it. With the caller, up to 8 writes of a batch are in
+// flight at once.
+constexpr uint64_t kSlowWriteNs = 100'000;
+constexpr size_t kBatchWriterHelpers = 7;
 
 struct BlockHeader {
   uint32_t magic = 0;
@@ -205,12 +214,135 @@ Status BlockServer::WriteLocal(BlockNo bno, uint64_t account, uint64_t seq,
   h.len = static_cast<uint32_t>(payload.size());
   h.crc = Crc32c(payload.data(), payload.size());
   EncodeBlock(raw, h, payload);
+  const auto start = std::chrono::steady_clock::now();
   RETURN_IF_ERROR(device_->Write(bno, raw));
+  const auto ns = static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                            std::chrono::steady_clock::now() - start)
+                                            .count());
+  const uint64_t avg = write_ns_avg_.load(std::memory_order_relaxed);
+  write_ns_avg_.store(avg - avg / 8 + ns / 8, std::memory_order_relaxed);
   Shard& shard = ShardFor(bno);
   std::lock_guard<std::mutex> lock(shard.mu);
   blocks_[bno].account = account;
   blocks_[bno].seq = seq;
   blocks_[bno].in_use = account != 0;
+  return OkStatus();
+}
+
+// A fixed set of helper threads that run one batch's entries alongside the calling
+// thread. Batches from concurrent callers queue and share the helpers; each caller also
+// works on its own batch, so a batch never waits for an idle helper.
+class BatchWriters {
+ public:
+  explicit BatchWriters(size_t helpers) {
+    for (size_t t = 0; t < helpers; ++t) {
+      threads_.emplace_back([this] { Loop(); });
+    }
+  }
+  BatchWriters(const BatchWriters&) = delete;
+  BatchWriters& operator=(const BatchWriters&) = delete;
+
+  ~BatchWriters() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    work_cv_.notify_all();
+    for (std::thread& thread : threads_) {
+      thread.join();
+    }
+  }
+
+  // Runs fn(i) for every i < n, on this thread and the helpers; returns when all are done.
+  void Run(size_t n, const std::function<void(size_t)>& fn) {
+    Job job{&fn, n};
+    std::unique_lock<std::mutex> lock(mu_);
+    jobs_.push_back(&job);
+    work_cv_.notify_all();
+    while (job.next < job.n) {
+      RunOne(&job, lock);
+    }
+    done_cv_.wait(lock, [&] { return job.done == job.n; });
+  }
+
+ private:
+  struct Job {
+    const std::function<void(size_t)>* fn;
+    size_t n;
+    size_t next = 0;  // first unclaimed entry
+    size_t done = 0;  // entries finished
+  };
+
+  // Claims and runs the next entry of `job`; the claimer of the last entry dequeues it.
+  void RunOne(Job* job, std::unique_lock<std::mutex>& lock) {
+    const size_t i = job->next++;
+    if (job->next == job->n) {
+      jobs_.erase(std::find(jobs_.begin(), jobs_.end(), job));
+    }
+    lock.unlock();
+    (*job->fn)(i);
+    lock.lock();
+    if (++job->done == job->n) {
+      done_cv_.notify_all();
+    }
+  }
+
+  void Loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      work_cv_.wait(lock, [&] { return stop_ || !jobs_.empty(); });
+      if (stop_) {
+        return;
+      }
+      RunOne(jobs_.front(), lock);
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable work_cv_;
+  std::condition_variable done_cv_;
+  std::deque<Job*> jobs_;
+  bool stop_ = false;
+  std::vector<std::thread> threads_;  // last: the helpers use everything above
+};
+
+namespace {
+
+// One set of batch writers for every block server in the process: the helpers only keep
+// device writes in flight, and a set per server would multiply idle threads (and their
+// allocator arenas) by the number of servers. The last server holding it joins them.
+std::shared_ptr<BatchWriters> AcquireBatchWriters() {
+  static std::mutex mu;
+  static std::weak_ptr<BatchWriters> shared;
+  std::lock_guard<std::mutex> lock(mu);
+  std::shared_ptr<BatchWriters> writers = shared.lock();
+  if (writers == nullptr) {
+    writers = std::make_shared<BatchWriters>(kBatchWriterHelpers);
+    shared = writers;
+  }
+  return writers;
+}
+
+}  // namespace
+
+Status BlockServer::WriteLocalBatch(std::span<const PendingWrite> writes, char* written) {
+  std::vector<Status> status(writes.size());
+  const std::function<void(size_t)> write_one = [&](size_t i) {
+    status[i] = WriteLocal(writes[i].bno, writes[i].account, writes[i].seq, writes[i].payload);
+    written[i] = status[i].ok() ? 1 : 0;
+  };
+  if (writes.size() <= 1 || write_ns_avg_.load(std::memory_order_relaxed) < kSlowWriteNs) {
+    for (size_t i = 0; i < writes.size(); ++i) {
+      write_one(i);
+      RETURN_IF_ERROR(status[i]);
+    }
+    return OkStatus();
+  }
+  std::call_once(writers_once_, [this] { writers_ = AcquireBatchWriters(); });
+  writers_->Run(writes.size(), write_one);
+  for (const Status& st : status) {
+    RETURN_IF_ERROR(st);
+  }
   return OkStatus();
 }
 
@@ -300,15 +432,7 @@ Status BlockServer::StableWriteBatch(std::vector<PendingWrite> writes) {
   std::vector<char> written(writes.size(), 0);
 
   if (companion == kNullPort) {
-    for (size_t i = 0; i < writes.size(); ++i) {
-      Status st = WriteLocal(writes[i].bno, writes[i].account, writes[i].seq,
-                             writes[i].payload);
-      if (!st.ok()) {
-        result = st;
-        break;
-      }
-      written[i] = 1;
-    }
+    result = WriteLocalBatch(writes, written.data());
   } else {
     // Chunk so each companion message stays under kMaxMessageBytes.
     std::vector<std::pair<size_t, size_t>> chunks;  // [begin, end)
@@ -376,16 +500,10 @@ Status BlockServer::StableWriteBatch(std::vector<PendingWrite> writes) {
           continue;
         }
       }
-      for (size_t i = b; i < e; ++i) {
-        Status st = WriteLocal(writes[i].bno, writes[i].account, writes[i].seq,
-                               writes[i].payload);
-        if (!st.ok()) {
-          if (result.ok()) {
-            result = st;
-          }
-          break;
-        }
-        written[i] = 1;
+      Status st = WriteLocalBatch(std::span<const PendingWrite>(writes).subspan(b, e - b),
+                                  written.data() + b);
+      if (!st.ok() && result.ok()) {
+        result = st;
       }
       if (!pending.valid()) {
         break;
@@ -843,9 +961,8 @@ Result<Message> BlockServer::HandleCompanionWriteMulti(const Message& m) {
       return ConflictError("allocate collision in batch");
     }
   }
-  for (const PendingWrite& w : entries) {
-    RETURN_IF_ERROR(WriteLocal(w.bno, w.account, w.seq, w.payload));
-  }
+  std::vector<char> written(entries.size(), 0);
+  RETURN_IF_ERROR(WriteLocalBatch(entries, written.data()));
   return OkReply(m.opcode);
 }
 

@@ -42,6 +42,8 @@ namespace afs {
 inline constexpr uint32_t kBlockHeaderBytes = 28;
 inline constexpr uint32_t kBlockMagic = 0xafb10c05;
 
+class BatchWriters;
+
 class BlockServer : public Service {
  public:
   // `device` must outlive the server. `secret_seed` keys the capability signer.
@@ -145,6 +147,14 @@ class BlockServer : public Service {
   Status StableWriteBatch(std::vector<PendingWrite> writes);
   Status WriteLocal(BlockNo bno, uint64_t account, uint64_t seq,
                     std::span<const uint8_t> payload);
+  // Write one chunk's entries to the local device; written[i] is set for each entry
+  // stored, and the first failure (in entry order) is returned. When device writes wait
+  // for a flush (a journaled FileDisk: the recent mean exceeds kSlowWriteNs), the entries
+  // are written concurrently by this thread and the process's batch writers, so the
+  // journal's group commit folds the chunk into one or two fsyncs instead of one per
+  // block. Otherwise they are written in order on this thread. Each block write stays
+  // atomic; the chunk is acknowledged only after every entry is stored.
+  Status WriteLocalBatch(std::span<const PendingWrite> writes, char* written);
   // Reads the payload; on CRC failure consults the companion and repairs the local copy.
   Result<std::vector<uint8_t>> ReadPayload(BlockNo bno, uint64_t account,
                                            bool check_account);
@@ -177,6 +187,11 @@ class BlockServer : public Service {
   std::atomic<Port> companion_{kNullPort};
   std::atomic<uint64_t> collisions_{0};
   std::atomic<uint64_t> degraded_writes_{0};
+  // Moving average of device write latency (ns); WriteLocalBatch's fan-out switch.
+  std::atomic<uint64_t> write_ns_avg_{0};
+  // The process's batch writers, acquired on this server's first fan-out.
+  std::once_flag writers_once_;
+  std::shared_ptr<BatchWriters> writers_;
 };
 
 }  // namespace afs

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <deque>
 #include <thread>
+#include <unordered_set>
 
 #include "src/base/wire.h"
 #include "src/core/protocol.h"
@@ -250,7 +251,9 @@ Status FileServer::SetOldestHead(uint64_t file_id, BlockNo new_oldest) {
 // Page loading and the committed-page cache
 // ---------------------------------------------------------------------------
 
-Result<Page> FileServer::LoadPageUncached(BlockNo head) { return pages_.ReadPage(head); }
+Result<Page> FileServer::LoadPageUncached(BlockNo head, std::vector<BlockNo>* tail) {
+  return pages_.ReadPage(head, tail);
+}
 
 Result<Page> FileServer::LoadPage(BlockNo head) {
   if (options_.cache_committed_pages) {
@@ -259,10 +262,9 @@ Result<Page> FileServer::LoadPage(BlockNo head) {
     if (it != committed_cache_.end()) {
       cache_hits_->Inc();
       obs::Trace(obs::TraceEvent::kCacheHit, head);
-      return it->second;
+      cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
+      return it->second->second;
     }
-  }
-  if (options_.cache_committed_pages) {
     cache_misses_->Inc();
     obs::Trace(obs::TraceEvent::kCacheMiss, head);
   }
@@ -279,23 +281,20 @@ Result<std::vector<Page>> FileServer::LoadPagesCommitted(std::span<const BlockNo
   std::vector<Page> out(heads.size());
   std::vector<size_t> miss_index;
   std::vector<BlockNo> miss_heads;
-  if (options_.cache_committed_pages) {
+  {
     std::lock_guard<std::mutex> lock(cache_mu_);
     for (size_t i = 0; i < heads.size(); ++i) {
-      auto it = committed_cache_.find(heads[i]);
+      auto it = options_.cache_committed_pages ? committed_cache_.find(heads[i])
+                                               : committed_cache_.end();
       if (it != committed_cache_.end()) {
         cache_hits_->Inc();
         obs::Trace(obs::TraceEvent::kCacheHit, heads[i]);
-        out[i] = it->second;
+        cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
+        out[i] = it->second->second;
       } else {
         miss_index.push_back(i);
         miss_heads.push_back(heads[i]);
       }
-    }
-  } else {
-    for (size_t i = 0; i < heads.size(); ++i) {
-      miss_index.push_back(i);
-      miss_heads.push_back(heads[i]);
     }
   }
   if (miss_heads.empty()) {
@@ -316,21 +315,28 @@ Result<std::vector<Page>> FileServer::LoadPagesCommitted(std::span<const BlockNo
 
 void FileServer::CacheCommittedPage(BlockNo head, const Page& page) {
   std::lock_guard<std::mutex> lock(cache_mu_);
+  if (committed_cache_.count(head) != 0) {
+    return;
+  }
   if (committed_cache_.size() >= options_.committed_cache_capacity && !cache_lru_.empty()) {
-    committed_cache_.erase(cache_lru_.front());
-    cache_lru_.erase(cache_lru_.begin());
+    obs::Trace(obs::TraceEvent::kCacheEvict, cache_lru_.back().first);
+    committed_cache_.erase(cache_lru_.back().first);
+    cache_lru_.pop_back();
     cache_evictions_->Inc();
-    obs::Trace(obs::TraceEvent::kCacheEvict, head);
   }
-  if (committed_cache_.emplace(head, page).second) {
-    cache_lru_.push_back(head);
-  }
+  cache_lru_.emplace_front(head, page);
+  committed_cache_.emplace(head, cache_lru_.begin());
 }
 
-void FileServer::UncachePage(BlockNo head) {
+void FileServer::UncachePages(std::span<const BlockNo> heads) {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  committed_cache_.erase(head);
-  cache_lru_.erase(std::remove(cache_lru_.begin(), cache_lru_.end(), head), cache_lru_.end());
+  for (BlockNo head : heads) {
+    auto it = committed_cache_.find(head);
+    if (it != committed_cache_.end()) {
+      cache_lru_.erase(it->second);
+      committed_cache_.erase(it);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -409,9 +415,16 @@ Result<std::vector<BlockNo>> FileServer::CommittedChain(uint64_t file_id) {
     ASSIGN_OR_RETURN(FileEntry entry, LookupFileLocked(file_id));
     head = entry.oldest_head;
   }
+  // The whole chain, however long: the GC marks exactly these versions and sweeps the rest,
+  // so a walk cut short at a step cap would free the newest versions' pages. A head seen
+  // twice is a cycle, which only corruption makes.
   std::vector<BlockNo> chain;
+  std::unordered_set<BlockNo> seen;
   BlockNo cur = head;
-  for (int step = 0; step < kMaxChainSteps && cur != kNilRef; ++step) {
+  while (cur != kNilRef) {
+    if (!seen.insert(cur).second) {
+      return CorruptError("commit references form a cycle");
+    }
     ASSIGN_OR_RETURN(Page page, LoadPageUncached(cur));
     if (page.prepare_txn != 0) {
       break;  // in-doubt cross-shard tip: not committed until the coordinator decides
@@ -464,7 +477,8 @@ void FileServer::ReleaseBlockLock(BlockNo bno, Port owner) {
 Status FileServer::SetInnerLock(BlockNo sub_head, Port owner) {
   ASSIGN_OR_RETURN(Port block_lock, AcquireBlockLock(sub_head));
   Status st = OkStatus();
-  auto page = LoadPageUncached(sub_head);
+  std::vector<BlockNo> tail;
+  auto page = LoadPageUncached(sub_head, &tail);
   if (!page.ok()) {
     st = page.status();
   } else {
@@ -480,7 +494,7 @@ Status FileServer::SetInnerLock(BlockNo sub_head, Port owner) {
         page->top_lock = kNullPort;  // dead holder, commit ref unset (page is current)
       }
       page->inner_lock = owner;
-      st = pages_.OverwritePage(sub_head, *page);
+      st = pages_.OverwritePage(sub_head, *page, &tail);
     }
   }
   ReleaseBlockLock(sub_head, block_lock);
@@ -490,12 +504,13 @@ Status FileServer::SetInnerLock(BlockNo sub_head, Port owner) {
 Status FileServer::ClearInnerLock(BlockNo sub_head, Port owner) {
   ASSIGN_OR_RETURN(Port block_lock, AcquireBlockLock(sub_head));
   Status st = OkStatus();
-  auto page = LoadPageUncached(sub_head);
+  std::vector<BlockNo> tail;
+  auto page = LoadPageUncached(sub_head, &tail);
   if (!page.ok()) {
     st = page.status();
   } else if (page->inner_lock == owner) {
     page->inner_lock = kNullPort;
-    st = pages_.OverwritePage(sub_head, *page);
+    st = pages_.OverwritePage(sub_head, *page, &tail);
   }
   ReleaseBlockLock(sub_head, block_lock);
   return st;
@@ -504,12 +519,13 @@ Status FileServer::ClearInnerLock(BlockNo sub_head, Port owner) {
 Status FileServer::ClearTopLock(BlockNo head, Port owner) {
   ASSIGN_OR_RETURN(Port block_lock, AcquireBlockLock(head));
   Status st = OkStatus();
-  auto page = LoadPageUncached(head);
+  std::vector<BlockNo> tail;
+  auto page = LoadPageUncached(head, &tail);
   if (!page.ok()) {
     st = page.status();
   } else if (page->top_lock == owner) {
     page->top_lock = kNullPort;
-    st = pages_.OverwritePage(head, *page);
+    st = pages_.OverwritePage(head, *page, &tail);
   }
   ReleaseBlockLock(head, block_lock);
   return st;
@@ -543,11 +559,12 @@ Status FileServer::RecoverDeadTopLock(BlockNo locked_head, const Page& locked_pa
         frame.bno != locked_page.commit_ref) {
       // A copied sub-file version page: finish its commit.
       ASSIGN_OR_RETURN(Port block_lock, AcquireBlockLock(frame.page.base_ref));
-      auto base = LoadPageUncached(frame.page.base_ref);
+      std::vector<BlockNo> tail;
+      auto base = LoadPageUncached(frame.page.base_ref, &tail);
       if (base.ok() && base->commit_ref == kNilRef) {
         base->commit_ref = frame.bno;
         base->inner_lock = kNullPort;
-        (void)pages_.OverwritePage(frame.page.base_ref, *base);
+        (void)pages_.OverwritePage(frame.page.base_ref, *base, &tail);
       }
       ReleaseBlockLock(frame.page.base_ref, block_lock);
     }
@@ -566,13 +583,15 @@ Status FileServer::RecoverDeadTopLock(BlockNo locked_head, const Page& locked_pa
 }
 
 Status FileServer::AcquireUpdateLocks(uint64_t file_id, bool is_super, Port owner,
-                                      bool respect_soft_lock, BlockNo* current_head) {
+                                      bool respect_soft_lock, BlockNo head,
+                                      VersionInfo* version) {
   // Under a commit storm the current version moves between lookup and lock; ride it out —
   // each retry starts from the freshly observed current.
   for (int attempt = 0; attempt < 256; ++attempt) {
     ASSIGN_OR_RETURN(BlockNo cur, FindCurrentHead(file_id));
     ASSIGN_OR_RETURN(Port block_lock, AcquireBlockLock(cur));
-    auto page = LoadPageUncached(cur);
+    std::vector<BlockNo> tail;
+    auto page = LoadPageUncached(cur, &tail);
     Status st = page.ok() ? OkStatus() : page.status();
     bool retry = false;
     if (st.ok()) {
@@ -597,7 +616,27 @@ Status FileServer::AcquireUpdateLocks(uint64_t file_id, bool is_super, Port owne
             page->inner_lock = kNullPort;  // dead holder cleanup
           }
           page->top_lock = owner;
-          st = pages_.OverwritePage(cur, *page);
+          // "When a new version is created, it behaves as if it were a copy of the current
+          // version. In fact, when it is created, a new version shares its page tree with
+          // the current version" — the version page carries the base's data and
+          // references with all access flags cleared.
+          Page& fresh = version->root;
+          fresh = *page;
+          for (PageRef& ref : fresh.refs) {
+            ref.flags = 0;
+          }
+          fresh.base_ref = cur;
+          fresh.commit_ref = kNilRef;
+          fresh.top_lock = kNullPort;
+          fresh.inner_lock = kNullPort;
+          fresh.prepare_txn = 0;
+          fresh.root_flags = RefFlag::kCopied;
+          fresh.file_cap = SignFileCap(file_id);
+          fresh.version_cap = SignVersionCap(head);
+          st = WriteLockedBaseAndHead(cur, *page, tail, head, version);
+          if (st.ok()) {
+            version->base_head = cur;
+          }
         }
       }
     }
@@ -605,17 +644,53 @@ Status FileServer::AcquireUpdateLocks(uint64_t file_id, bool is_super, Port owne
     if (retry) {
       continue;
     }
-    if (st.ok()) {
-      *current_head = cur;
-    }
     return st;
   }
   return ConflictError("could not pin the current version (commit storm)");
 }
 
+Status FileServer::WriteLockedBaseAndHead(BlockNo base_head, const Page& base,
+                                          const std::vector<BlockNo>& base_tail, BlockNo head,
+                                          VersionInfo* version) {
+  ASSIGN_OR_RETURN(size_t head_blocks, pages_.ChainLength(version->root));
+  if (base_tail.empty() && head_blocks == 1) {
+    // The common case: both pages fit one block, so one batch sets the top lock and
+    // writes the head (each block write is atomic).
+    std::vector<PageStore::ChainWrite> writes(2);
+    writes[0] = {base, {base_head}};
+    writes[1] = {version->root, {head}};
+    return pages_.WriteChains(writes);
+  }
+  // A multi-block base must switch its head only after its new tail is durable; the head
+  // (unreachable until its commit) then takes fresh tail blocks of its own.
+  RETURN_IF_ERROR(pages_.OverwritePage(base_head, base, &base_tail));
+  ASSIGN_OR_RETURN(std::vector<BlockNo> tail,
+                   pages_.AllocBlocks(static_cast<uint32_t>(head_blocks - 1)));
+  std::vector<PageStore::ChainWrite> writes(1);
+  writes[0].page = version->root;
+  writes[0].chain.push_back(head);
+  writes[0].chain.insert(writes[0].chain.end(), tail.begin(), tail.end());
+  Status st = pages_.WriteChains(writes);
+  if (!st.ok()) {
+    (void)pages_.blocks()->FreeMulti(tail);
+    return st;
+  }
+  version->head_tail = std::move(tail);
+  return OkStatus();
+}
+
 // ---------------------------------------------------------------------------
-// Tree walking with copy-on-write (§5.1)
+// Tree walking with copy-on-write (§5.1), in the version's private page table
 // ---------------------------------------------------------------------------
+
+Result<BlockNo> FileServer::AddPrivatePage(VersionInfo* info, Page page) {
+  if (info->next_provisional >= kNilRef) {
+    return NoSpaceError("version ran out of provisional page numbers");
+  }
+  const BlockNo bno = info->next_provisional++;
+  info->pages.emplace(bno, std::move(page));
+  return bno;
+}
 
 Result<BlockNo> FileServer::CopyChild(VersionInfo* info, WalkStep* parent, uint32_t index) {
   ASSIGN_OR_RETURN(PageRef ref, parent->page.RefAt(index));
@@ -645,12 +720,15 @@ Result<BlockNo> FileServer::CopyChild(VersionInfo* info, WalkStep* parent, uint3
 
   // "When a page is first read, the C, R, W, S and M flags it contains for its child pages
   // must be initialised to zero."
-  Page copy = shared;
+  Page copy = std::move(shared);
   for (PageRef& child_ref : copy.refs) {
     child_ref.flags = 0;
   }
   copy.base_ref = shared_bno;
-  if (copy.IsVersionPage()) {
+  const bool version_page = copy.IsVersionPage();
+  if (version_page) {
+    // The version capability embeds the head block; the commit flush signs it once the
+    // copy has one.
     copy.commit_ref = kNilRef;
     copy.top_lock = kNullPort;
     copy.inner_lock = kNullPort;
@@ -658,14 +736,10 @@ Result<BlockNo> FileServer::CopyChild(VersionInfo* info, WalkStep* parent, uint3
     copy.parent_ref = info->head;
     copy.root_flags = RefFlag::kCopied;
   }
-  ASSIGN_OR_RETURN(BlockNo new_bno, pages_.WritePage(copy));
-  if (copy.IsVersionPage()) {
-    // The version capability embeds the head block; sign it now that the block is known.
-    copy.version_cap = SignVersionCap(new_bno);
-    RETURN_IF_ERROR(pages_.OverwritePage(new_bno, copy));
+  ASSIGN_OR_RETURN(BlockNo new_bno, AddPrivatePage(info, std::move(copy)));
+  if (version_page) {
     info->copied_subfiles.emplace_back(shared_bno, new_bno);
   }
-  info->allocated_blocks.push_back(new_bno);
 
   ref.block = new_bno;
   ref.flags = NormalizeFlags(ref.flags | RefFlag::kCopied);
@@ -677,15 +751,19 @@ Result<std::vector<FileServer::WalkStep>> FileServer::WalkPath(VersionInfo* info
                                                                const PagePath& path,
                                                                uint8_t final_access,
                                                                bool materialize_target) {
+  const bool mutating = info != nullptr;
   std::vector<WalkStep> steps;
   {
     WalkStep root;
     root.bno = head;
-    ASSIGN_OR_RETURN(root.page, LoadPageUncached(head));
+    if (mutating) {
+      root.page = info->root;
+    } else {
+      ASSIGN_OR_RETURN(root.page, LoadPageUncached(head));
+    }
     steps.push_back(std::move(root));
   }
 
-  const bool mutating = info != nullptr;
   if (mutating) {
     Page& root = steps[0].page;
     const uint8_t before = root.root_flags;
@@ -713,19 +791,17 @@ Result<std::vector<FileServer::WalkStep>> FileServer::WalkPath(VersionInfo* info
       }
       Page fresh;
       fresh.kind = PageKind::kPlain;
-      ASSIGN_OR_RETURN(BlockNo bno, pages_.WritePage(fresh));
-      info->allocated_blocks.push_back(bno);
-      ref.block = bno;
+      ASSIGN_OR_RETURN(ref.block, AddPrivatePage(info, std::move(fresh)));
       ref.flags = RefFlag::kCopied;
       parent.page.refs[index] = ref;
       parent.dirty = true;
     } else if (mutating && !ref.copied()) {
-      ASSIGN_OR_RETURN(BlockNo new_bno, CopyChild(info, &parent, index));
-      ref = parent.page.refs[index];
+      RETURN_IF_ERROR(CopyChild(info, &parent, index).status());
       parent.dirty = true;
-      (void)new_bno;
     }
 
+    WalkStep child;
+    child.bno = ref.block;
     if (mutating) {
       uint8_t access = last ? final_access : RefFlag::kSearched;
       PageRef updated = parent.page.refs[index];
@@ -734,14 +810,12 @@ Result<std::vector<FileServer::WalkStep>> FileServer::WalkPath(VersionInfo* info
         parent.page.refs[index] = updated;
         parent.dirty = true;
       }
-      ref = updated;
-    }
-
-    WalkStep child;
-    child.bno = ref.block;
-    if (mutating) {
-      // Copied children are private to this version; never serve them from the cache.
-      ASSIGN_OR_RETURN(child.page, LoadPageUncached(ref.block));
+      auto it = info->pages.find(updated.block);
+      if (it == info->pages.end()) {
+        return InternalError("copied reference outside the version's private pages");
+      }
+      child.bno = updated.block;
+      child.page = it->second;
     } else {
       ASSIGN_OR_RETURN(child.page, LoadPage(ref.block));
     }
@@ -749,7 +823,7 @@ Result<std::vector<FileServer::WalkStep>> FileServer::WalkPath(VersionInfo* info
   }
 
   if (mutating) {
-    RETURN_IF_ERROR(PersistSteps(&steps));
+    RETURN_IF_ERROR(PersistSteps(info, &steps));
     RecordWalkSig(info, path, final_access);
   }
   return steps;
@@ -760,7 +834,7 @@ void FileServer::RecordWalkSig(VersionInfo* info, const PagePath& path, uint8_t 
   if (!sig.valid) {
     return;
   }
-  // Mirror the flag ORs the walk just persisted, keyed by path prefix. The root reference
+  // Mirror the flag ORs the walk just stored, keyed by path prefix. The root reference
   // carries the file's root_flags; deeper prefixes carry the parent-table entry flags.
   const auto record = [&sig](std::string key, uint8_t flags) {
     uint8_t& slot = sig.refs[std::move(key)];
@@ -781,15 +855,23 @@ void FileServer::RecordWalkSig(VersionInfo* info, const PagePath& path, uint8_t 
   }
 }
 
-Status FileServer::PersistSteps(std::vector<WalkStep>* steps) {
-  // All dirty pages are private copies, so in-place overwrite is safe; uncommitted trees
-  // need no crash-ordering ("uncommitted versions need not be salvaged in a server crash").
-  for (size_t i = steps->size(); i-- > 0;) {
-    WalkStep& step = (*steps)[i];
-    if (step.dirty) {
-      RETURN_IF_ERROR(pages_.OverwritePage(step.bno, step.page));
-      step.dirty = false;
+Status FileServer::PersistSteps(VersionInfo* info, std::vector<WalkStep>* steps) {
+  // "Uncommitted versions need not be salvaged in a server crash": the private tree stays
+  // in memory, and the commit flush is the first time any of it reaches a block.
+  for (WalkStep& step : *steps) {
+    if (!step.dirty) {
+      continue;
     }
+    if (step.bno == info->head) {
+      info->root = step.page;
+    } else {
+      auto it = info->pages.find(step.bno);
+      if (it == info->pages.end()) {
+        return InternalError("walk step outside the version's private pages");
+      }
+      it->second = step.page;
+    }
+    step.dirty = false;
   }
   return OkStatus();
 }

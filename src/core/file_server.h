@@ -30,6 +30,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -216,12 +217,17 @@ class FileServer : public Service {
   const VersionIndex& version_index() const { return index_; }
   // GC pruning hook: drop index records for pruned versions of `file_id`.
   void OnVersionsPruned(uint64_t file_id, const std::vector<BlockNo>& pruned_heads);
+  // GC sweep hook: drop swept blocks from the committed-page cache. A freed number is
+  // handed out again and must not serve the old page.
+  void UncachePages(std::span<const BlockNo> heads);
 
  protected:
   Result<Message> Handle(const Message& request) override;
   void OnRestart() override;
 
  private:
+  // An uncommitted version ("uncommitted versions need not be salvaged in a server
+  // crash"): its tree below the head lives in memory until CommitSegment's flush.
   struct VersionInfo {
     uint64_t file_id = 0;
     BlockNo head = kNilRef;
@@ -230,10 +236,26 @@ class FileServer : public Service {
     bool is_super_update = false;
     // Serialises operations on one version; ops on different versions run in parallel.
     std::shared_ptr<std::mutex> op_mu = std::make_shared<std::mutex>();
-    // Every page-chain head this version allocated. Abort frees exactly these — merged
-    // trees may share committed pages of other versions, which must never be freed.
+    // The version page. Its block was written once, at CreateVersion, as a share of the
+    // base (what the GC and fsck see); the commit flush writes it again. `head_tail` is
+    // the on-disk head's tail chain.
+    Page root;
+    std::vector<BlockNo> head_tail;
+    // Private page table: every page below the head that this update copied or created,
+    // keyed by a provisional number (>= kFirstProvisionalBlock), plus the roots of
+    // sub-files created in this update under their real heads. A copied reference in this
+    // version's tree always names an entry.
+    std::unordered_map<BlockNo, Page> pages;
+    BlockNo next_provisional = kFirstProvisionalBlock;
+    // Page heads this version owns outside any committed tree: its head and the roots of
+    // the sub-files it created. Abort frees exactly these, plus `flushed_blocks`.
     std::vector<BlockNo> allocated_blocks;
-    // Sub-file version pages copied during this super-file update: old head -> new head.
+    // Blocks of the last flush's fresh chains. A flip lost after the flush leaves them
+    // linked from the on-disk head only; the next flush frees them once the head is
+    // rewritten.
+    std::vector<BlockNo> flushed_blocks;
+    // Sub-file version pages copied during this super-file update: old head -> new head
+    // (provisional until the commit flush).
     std::vector<std::pair<BlockNo, BlockNo>> copied_subfiles;
     // Sub-file version pages visited and inner-locked but not (yet) copied.
     std::vector<BlockNo> locked_subfiles;
@@ -282,35 +304,38 @@ class FileServer : public Service {
   // Follow commit references from `from` to the chain's end; returns the current head.
   Result<BlockNo> FindCurrentHead(uint64_t file_id);
   Result<Page> LoadPage(BlockNo head);             // with committed-page cache
-  Result<Page> LoadPageUncached(BlockNo head);
+  // `tail`, if non-null, receives the page's tail chain (for OverwritePage).
+  Result<Page> LoadPageUncached(BlockNo head, std::vector<BlockNo>* tail = nullptr);
   // Vectored LoadPage: serves what it can from the committed-page cache and fetches the
   // misses with one batched PageStore read. result[i] corresponds to heads[i].
   Result<std::vector<Page>> LoadPagesCommitted(std::span<const BlockNo> heads);
   void CacheCommittedPage(BlockNo head, const Page& page);
-  void UncachePage(BlockNo head);
 
   // --- tree operations ---
   struct WalkStep {
     BlockNo bno = kNilRef;
     Page page;
-    bool dirty = false;  // needs persisting (flags or refs changed during the walk)
+    bool dirty = false;  // flags, refs or data changed; store back into the version
   };
-  // Persist the dirty steps of a walk (all private copies; in-place overwrites).
-  Status PersistSteps(std::vector<WalkStep>* steps);
+  // Store the dirty steps of a mutating walk back into the version's root and private
+  // page table (all private pages; nothing reaches a block before the commit flush).
+  Status PersistSteps(VersionInfo* info, std::vector<WalkStep>* steps);
+  // Enter a new private page under the version's next provisional number.
+  Result<BlockNo> AddPrivatePage(VersionInfo* info, Page page);
   // Descend `path` in version `head`, copying shared pages on the way (COW + flag
   // bookkeeping). `final_access` is the flag(s) to set on the target's reference
   // (kRead/kWritten/kSearched/kModified); `materialize_target` controls whether a hole at
   // the final position is filled with a fresh page (writes) or reported (reads).
-  // Returns the chain of pages from root to target; all returned pages are already
-  // persisted with updated flags. `info` may be null for committed (read-only) walks, in
-  // which case no mutation is permitted (kReadOnly if the walk would need to copy).
+  // Returns the chain of pages from root to target. A mutating walk (`info` non-null)
+  // serves and updates the version's in-memory tree, with every flag change already
+  // stored back; a null `info` reads a committed (or foreign) version from the store.
   Result<std::vector<WalkStep>> WalkPath(VersionInfo* info, BlockNo head, const PagePath& path,
                                          uint8_t final_access, bool materialize_target);
   // Mirror the flag updates a mutating walk made into the version's access signature.
   void RecordWalkSig(VersionInfo* info, const PagePath& path, uint8_t final_access);
 
-  // Copy-on-first-access of the child at refs[index] of `parent` (whose own head is
-  // parent_bno). Handles sub-file version pages: sets the inner lock on the shared current
+  // Copy-on-first-access of the child at refs[index] of `parent` into the private page
+  // table. Handles sub-file version pages: sets the inner lock on the shared current
   // sub-version page first (§5.3) and records the copy in `info`.
   Result<BlockNo> CopyChild(VersionInfo* info, WalkStep* parent, uint32_t index);
 
@@ -322,10 +347,17 @@ class FileServer : public Service {
   void ReleaseBlockLock(BlockNo bno, Port owner);
 
   // --- locks (§5.3) ---
-  // Test the locking rules on the current version page and set the top lock.
-  // May perform dead-holder recovery.
+  // Test the locking rules on the current version page and set the top lock. Under the
+  // same block lock, build the new version's page (`*version`, a share of the current
+  // version) and write it at `head` — for a single-block base, in the one batch that
+  // sets the top lock. May perform dead-holder recovery.
   Status AcquireUpdateLocks(uint64_t file_id, bool is_super, Port owner,
-                            bool respect_soft_lock, BlockNo* current_head);
+                            bool respect_soft_lock, BlockNo head, VersionInfo* version);
+  // Write the top-locked base page (read with `base_tail`, its block lock held) and the
+  // new version page `version->root` at `head`.
+  Status WriteLockedBaseAndHead(BlockNo base_head, const Page& base,
+                                const std::vector<BlockNo>& base_tail, BlockNo head,
+                                VersionInfo* version);
   Status SetInnerLock(BlockNo sub_head, Port owner);
   Status ClearInnerLock(BlockNo sub_head, Port owner);
   Status ClearTopLock(BlockNo head, Port owner);
@@ -344,10 +376,15 @@ class FileServer : public Service {
   // the combiner; the group leader validates, links, persists and flips on its behalf,
   // then posts the result. Prepare() runs its own segment of one.
   struct PendingCommit {
+    // The version; its in-memory root's base_ref names the last committed head this
+    // request has been validated against, and the segment loop rewrites base/commit
+    // references on it.
     VersionInfo* info = nullptr;
-    // Version page. Between attempts base_ref names the last committed head this request
-    // has been validated against; the segment loop rewrites base/commit references.
-    Page root;
+    // The tree as the last flush wrote it: the root with real references, each written
+    // page with its real head, and the provisional -> real numbering.
+    Page written_root;
+    std::vector<std::pair<BlockNo, Page>> written_pages;
+    std::unordered_map<BlockNo, BlockNo> real_of;
     bool done = false;      // written only under commit_mu_; the follower's wake condition
     bool fast_path = true;  // no real merge ran: tree is this update's own, reshare is safe
     // Set aside from a multi-member segment (super-file update, or a signature test against
@@ -368,28 +405,33 @@ class FileServer : public Service {
                                   const Page* c_root);
   // The §5.2 validate-and-flip loop over one segment: an ordered list of requests for one
   // file, all holding their version op locks. Validates every member to the chain end,
-  // links the survivors, persists their roots in one write and publishes them with one
+  // links the survivors, writes their trees in one flush and publishes them with one
   // test-and-set on the tip; a lost flip re-validates and retries (at most 256 attempts).
   // Winners get result = head and, for a commit, FinishCommit; conflicts are aborted; a
   // flip that errors returns the error without aborting. prepare_txn != 0 stages a
   // segment of one as an in-doubt tip instead (the marker is persisted with the root).
   void CommitSegment(const std::vector<PendingCommit*>& segment, uint64_t prepare_txn);
-  // Post-flip step of a committed member: index it, §5.3 completion, §5.1 reshare.
+  // The segment's flush, before its flip: give every page the members' trees still reach
+  // a real block (after the §5.1 reshare for fast-path members: copies never written or
+  // modified are dropped, their references re-pointed at the base's pages), rewrite the
+  // references, and write children and roots with one AllocMulti and one WriteBatch.
+  Status FlushTrees(const std::vector<PendingCommit*>& live);
+  // FlushTrees' per-member step: copy the root and every private page the tree reaches
+  // into req->written_root / req->written_pages (fresh pages, provisional numbers) and
+  // `sub_roots` (created sub-file roots), applying the reshare.
+  void ImageTree(PendingCommit* req, std::vector<std::pair<BlockNo, Page>>* sub_roots);
+  // Post-flip step of a committed member: index it, cache its written pages, §5.3
+  // completion.
   void FinishCommit(PendingCommit* req);
   // Stage into the commit combiner; leader election + batch processing.
-  Result<BlockNo> CommitGrouped(VersionInfo* info, Page root, obs::Counter** outcome_ctr);
+  Result<BlockNo> CommitGrouped(VersionInfo* info, obs::Counter** outcome_ctr);
   void ProcessCommitBatch(const std::vector<PendingCommit*>& batch);
-  // Record a committed version in the index (+ current-version hint). `reshared` commits
-  // cache no root snapshot (the reshare pass rewrites it after commit).
-  void IndexCommitted(VersionInfo* info, BlockNo base, const Page& root, bool reshared);
+  // Record a committed version in the index (+ current-version hint), with the root as
+  // written (published roots never change their references).
+  void IndexCommitted(VersionInfo* info, BlockNo base, const Page& root);
   // After a super-file version committed: descend, commit the copied sub-files ("these
   // commits always succeed"), clear remaining inner locks.
   Status FinishSuperCommit(VersionInfo* info);
-  // §5.1 GC rule applied eagerly: reshare copied-but-unchanged subtrees with the base.
-  Status ReshareCleanPages(BlockNo head);
-  // Post-order reshare helper; returns whether `page` changed, and reports via
-  // `subtree_clean` whether the page's subtree contains no writes or modifications.
-  Result<bool> ReshareSubtree(Page* page, bool* subtree_clean);
   // Abort with the version's op mutex already held.
   Status AbortLocked(VersionInfo* info);
   // Free the private (copied, unshared) pages of an uncommitted version.
@@ -428,7 +470,8 @@ class FileServer : public Service {
     uint64_t file_id = 0;
     BlockNo head = kNilRef;
     BlockNo base_head = kNilRef;
-    std::vector<BlockNo> allocated_blocks;
+    std::vector<BlockNo> allocated_blocks;  // page heads (VersionInfo::allocated_blocks)
+    std::vector<BlockNo> flushed_blocks;    // the flush's fresh chains
     bool know_allocations = false;  // false after restart: free by tree walk instead
     // Carried from the VersionInfo so a decide-commit can index the version with its
     // signature. Recovered entries set valid = false (the signature is unrecoverable).
@@ -457,9 +500,11 @@ class FileServer : public Service {
   // Shard coordinator hooks; same installation discipline.
   ShardAdminHooks shard_admin_;
 
+  // Committed-page cache in LRU order (front = most recently used): O(1) hit, insert,
+  // eviction and removal.
   mutable std::mutex cache_mu_;
-  std::unordered_map<BlockNo, Page> committed_cache_;
-  std::vector<BlockNo> cache_lru_;  // simple clock-ish eviction
+  std::list<std::pair<BlockNo, Page>> cache_lru_;
+  std::unordered_map<BlockNo, std::list<std::pair<BlockNo, Page>>::iterator> committed_cache_;
 
   // Commit-outcome and cache metrics (Service's registry). Resolved once at construction;
   // the commit hot path touches them with relaxed atomic increments only — no mutex.

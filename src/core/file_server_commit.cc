@@ -31,12 +31,13 @@ Result<bool> FileServer::TestAndSetCommitRef(BlockNo base_head, BlockNo new_head
   ASSIGN_OR_RETURN(Port block_lock, AcquireBlockLock(base_head));
   bool won = false;
   Status st = OkStatus();
-  auto base = LoadPageUncached(base_head);
+  std::vector<BlockNo> tail;
+  auto base = LoadPageUncached(base_head, &tail);
   if (!base.ok()) {
     st = base.status();
   } else if (base->commit_ref == kNilRef) {
     base->commit_ref = new_head;
-    st = pages_.OverwritePage(base_head, *base);
+    st = pages_.OverwritePage(base_head, *base, &tail);
     won = st.ok();
   } else {
     *successor = base->commit_ref;
@@ -80,16 +81,15 @@ Result<BlockNo> FileServer::Commit(const Capability& version) {
   } scope{this, commit_start, rpcs_before};
   obs::Trace(obs::TraceEvent::kCommitBegin, head);
 
-  // commit.begin: admission (version-op guard) plus the root page read.
+  // commit.begin: admission (the version-op guard; the root is in memory).
   obs::ScopedSpan begin_span("commit.begin", obs::SpanKind::kPhase, head, 0);
   ASSIGN_OR_RETURN(VersionOpGuard op, AcquireVersionOp(head));
   if (op.info == nullptr) {
     return AbortedError("version is not managed by this server (already finished?)");
   }
-  ASSIGN_OR_RETURN(Page root, LoadPageUncached(head));
   begin_span.End();
 
-  Result<BlockNo> result = CommitGrouped(op.info, std::move(root), &scope.outcome);
+  Result<BlockNo> result = CommitGrouped(op.info, &scope.outcome);
   if (!result.ok()) {
     commit_span.set_status(static_cast<uint8_t>(result.status().code()));
   }
@@ -98,7 +98,7 @@ Result<BlockNo> FileServer::Commit(const Capability& version) {
 
 Status FileServer::ValidateToChainEnd(PendingCommit* req, bool use_index) {
   const uint64_t file_id = req->info->file_id;
-  const BlockNo from = req->root.base_ref;
+  const BlockNo from = req->info->root.base_ref;
   std::vector<VersionIndex::CommittedRec> recs;
   if (use_index && index_.SuccessorsAfter(file_id, from, &recs)) {
     index_hits_->Inc();
@@ -126,7 +126,7 @@ Status FileServer::ValidateToChainEnd(PendingCommit* req, bool use_index) {
   }
   for (const VersionIndex::CommittedRec& rec : recs) {
     RETURN_IF_ERROR(ValidateAgainstSuccessor(req, rec.head, rec.sig.get(), rec.root.get()));
-    req->root.base_ref = rec.head;
+    req->info->root.base_ref = rec.head;
   }
   return OkStatus();
 }
@@ -148,10 +148,18 @@ Status FileServer::ValidateAgainstSuccessor(PendingCommit* req, BlockNo c_head,
         break;
     }
   }
+  VersionInfo* info = req->info;
   Serialiser serialiser(
-      &pages_, [this](BlockNo bno) { return LoadPage(bno); },
+      [info](BlockNo bno) -> Result<Page*> {
+        auto it = info->pages.find(bno);
+        if (it == info->pages.end()) {
+          return InternalError("copied reference outside the version's private pages");
+        }
+        return &it->second;
+      },
+      [this](BlockNo bno) { return LoadPage(bno); },
       [this](std::span<const BlockNo> bnos) { return LoadPagesCommitted(bnos); });
-  auto mergeable = serialiser.TestAndMerge(req->info->head, &req->root, c_head, c_root);
+  auto mergeable = serialiser.TestAndMerge(info->head, &info->root, c_head, c_root);
   if (!mergeable.ok()) {
     return mergeable.status();
   }
@@ -195,9 +203,9 @@ void FileServer::CommitSegment(const std::vector<PendingCommit*>& segment,
     // The segment is based on one tip, so every member must have covered the chain up to
     // the same head. A disagreement means the chain grew mid-round or the index lags a
     // commit it never saw: validate the stragglers again.
-    const BlockNo tip = validated.front()->root.base_ref;
+    const BlockNo tip = validated.front()->info->root.base_ref;
     if (std::any_of(validated.begin(), validated.end(),
-                    [tip](PendingCommit* req) { return req->root.base_ref != tip; })) {
+                    [tip](PendingCommit* req) { return req->info->root.base_ref != tip; })) {
       use_index = false;
       live = std::move(validated);
       continue;
@@ -231,22 +239,19 @@ void FileServer::CommitSegment(const std::vector<PendingCommit*>& segment,
     }
 
     // Link the members into one chain segment m1 -> ... -> mn (base references forward,
-    // commit references backward), persist every root in one vectored write, then publish
-    // the WHOLE segment with a single test-and-set on the tip. Before the flip the segment
-    // is unreachable from the chain, so a failure here only leaves garbage for the GC.
-    std::vector<PageStore::PendingOverwrite> writes;
-    writes.reserve(live.size());
+    // commit references backward), write every tree — children and roots — in one flush,
+    // then publish the WHOLE segment with a single test-and-set on the tip. Before the flip
+    // the segment is unreachable from the chain, so a failure here only leaves garbage for
+    // the GC.
     for (size_t i = 0; i < live.size(); ++i) {
-      Page& root = live[i]->root;
+      Page& root = live[i]->info->root;
       root.base_ref = i == 0 ? tip : live[i - 1]->info->head;
       root.commit_ref = i + 1 < live.size() ? live[i + 1]->info->head : kNilRef;
       root.prepare_txn = prepare_txn;
-      PageStore::PendingOverwrite po;
-      po.head = live[i]->info->head;
-      po.page = root;
-      writes.push_back(std::move(po));
     }
-    Status persisted = pages_.OverwritePages(std::move(writes));
+    obs::ScopedSpan flush_span("commit.merge", obs::SpanKind::kPhase, tip, live.size());
+    Status persisted = FlushTrees(live);
+    flush_span.End();
     if (!persisted.ok()) {
       for (PendingCommit* req : live) {
         req->validation = persisted;
@@ -284,8 +289,8 @@ void FileServer::CommitSegment(const std::vector<PendingCommit*>& segment,
     group_fallbacks_->Inc();
     use_index = false;
     for (PendingCommit* req : live) {
-      req->root.base_ref = tip;
-      req->root.commit_ref = kNilRef;
+      req->info->root.base_ref = tip;
+      req->info->root.commit_ref = kNilRef;
     }
   }
 
@@ -303,22 +308,219 @@ void FileServer::CommitSegment(const std::vector<PendingCommit*>& segment,
   }
 }
 
+void FileServer::ImageTree(PendingCommit* req,
+                           std::vector<std::pair<BlockNo, Page>>* sub_roots) {
+  VersionInfo* info = req->info;
+  req->written_root = info->root;
+  req->written_pages.clear();
+  sub_roots->clear();
+
+  // §5.1: "The garbage collector may remove pages that were copied but not written or
+  // modified and reshare the corresponding page from the version on which it was based."
+  // Applied here, before anything is written, and to fast-path members only: a merged tree
+  // holds content its flags do not mark as written. Sub-file version pages and everything
+  // below them are never reshared.
+  const bool reshare = options_.reshare_on_commit && req->fast_path;
+  std::unordered_map<BlockNo, bool> clean_memo;
+  std::function<bool(BlockNo)> subtree_clean = [&](BlockNo bno) {
+    auto memo = clean_memo.find(bno);
+    if (memo != clean_memo.end()) {
+      return memo->second;
+    }
+    bool clean = true;
+    for (const PageRef& ref : info->pages.at(bno).refs) {
+      auto child = info->pages.find(ref.block);
+      if (child != info->pages.end() &&
+          (child->second.IsVersionPage() || ref.written() || ref.modified() ||
+           !subtree_clean(ref.block))) {
+        clean = false;
+        break;
+      }
+    }
+    clean_memo[bno] = clean;
+    return clean;
+  };
+
+  // Breadth-first from the root over private pages. Queue entries name a page of the
+  // image: the root (index npos), a fresh page, or a created sub-file root.
+  struct Entry {
+    bool sub_root;
+    size_t index;
+    bool may_reshare;
+  };
+  constexpr size_t kRoot = static_cast<size_t>(-1);
+  std::vector<Entry> queue = {{false, kRoot, reshare}};
+  std::unordered_set<BlockNo> seen;
+  for (size_t q = 0; q < queue.size(); ++q) {
+    const Entry entry = queue[q];
+    const auto page_of = [&]() -> Page& {
+      if (entry.index == kRoot) {
+        return req->written_root;
+      }
+      return entry.sub_root ? (*sub_roots)[entry.index].second
+                            : req->written_pages[entry.index].second;
+    };
+    for (size_t r = 0; r < page_of().refs.size(); ++r) {
+      PageRef& ref = page_of().refs[r];
+      auto child = info->pages.find(ref.block);
+      if (child == info->pages.end() || !seen.insert(ref.block).second) {
+        continue;  // shared with committed versions (or nil)
+      }
+      const Page& child_page = child->second;
+      if (entry.may_reshare && !child_page.IsVersionPage() && !ref.written() &&
+          !ref.modified() && child_page.base_ref != kNilRef && subtree_clean(ref.block)) {
+        ref = PageRef{child_page.base_ref, 0};  // the copy is dropped, never written
+        continue;
+      }
+      const bool may_reshare = entry.may_reshare && !child_page.IsVersionPage();
+      if (ref.block >= kFirstProvisionalBlock) {
+        req->written_pages.emplace_back(ref.block, child_page);
+        queue.push_back({false, req->written_pages.size() - 1, may_reshare});
+      } else {
+        sub_roots->emplace_back(ref.block, child_page);
+        queue.push_back({true, sub_roots->size() - 1, may_reshare});
+      }
+    }
+  }
+}
+
+Status FileServer::FlushTrees(const std::vector<PendingCommit*>& live) {
+  // Each member's image: its root and the private pages its tree still reaches, copied out
+  // of the private page table, which stays untouched — after a lost flip the next round
+  // validates against the full flags and flushes afresh.
+  std::vector<std::vector<std::pair<BlockNo, Page>>> sub_roots(live.size());
+  std::vector<std::vector<size_t>> lengths(live.size());  // root first, then fresh pages
+  uint32_t blocks_needed = 0;
+  for (size_t m = 0; m < live.size(); ++m) {
+    ImageTree(live[m], &sub_roots[m]);
+    ASSIGN_OR_RETURN(size_t root_blocks, pages_.ChainLength(live[m]->written_root));
+    lengths[m].push_back(root_blocks);
+    blocks_needed += static_cast<uint32_t>(root_blocks - 1);
+    for (const auto& [bno, page] : live[m]->written_pages) {
+      ASSIGN_OR_RETURN(size_t n, pages_.ChainLength(page));
+      lengths[m].push_back(n);
+      blocks_needed += static_cast<uint32_t>(n);
+    }
+  }
+
+  // One AllocMulti for the whole segment: the fresh chains and any new root tails.
+  ASSIGN_OR_RETURN(std::vector<BlockNo> blocks, pages_.AllocBlocks(blocks_needed));
+  size_t next = 0;
+  const auto take = [&](size_t n) {
+    std::vector<BlockNo> chain(blocks.begin() + static_cast<ptrdiff_t>(next),
+                               blocks.begin() + static_cast<ptrdiff_t>(next + n));
+    next += n;
+    return chain;
+  };
+  std::vector<PageStore::ChainWrite> writes;
+  std::vector<std::vector<BlockNo>> root_tails(live.size());
+  for (size_t m = 0; m < live.size(); ++m) {
+    PendingCommit* req = live[m];
+    root_tails[m] = take(lengths[m][0] - 1);
+    std::vector<std::vector<BlockNo>> chains;
+    req->real_of.clear();
+    for (size_t i = 0; i < req->written_pages.size(); ++i) {
+      chains.push_back(take(lengths[m][i + 1]));
+      req->real_of[req->written_pages[i].first] = chains.back().front();
+    }
+    // Point every reference at its real block; a copied sub-file version page gets the
+    // capability of its new head.
+    const auto relink = [req](Page* page) {
+      for (PageRef& ref : page->refs) {
+        if (ref.block >= kFirstProvisionalBlock && ref.block != kNilRef) {
+          ref.block = req->real_of.at(ref.block);
+        }
+      }
+    };
+    relink(&req->written_root);
+    for (auto& [bno, page] : sub_roots[m]) {
+      relink(&page);
+    }
+    for (size_t i = 0; i < req->written_pages.size(); ++i) {
+      auto& [bno, page] = req->written_pages[i];
+      relink(&page);
+      bno = chains[i].front();
+      if (page.IsVersionPage()) {
+        page.version_cap = SignVersionCap(bno);
+      }
+      writes.push_back({page, std::move(chains[i])});
+    }
+    std::vector<BlockNo> root_chain = {req->info->head};
+    root_chain.insert(root_chain.end(), root_tails[m].begin(), root_tails[m].end());
+    writes.push_back({req->written_root, std::move(root_chain)});
+  }
+  // Children and roots in one WriteBatch: nothing in it is reachable before the flip.
+  Status written = pages_.WriteChains(writes);
+  if (!written.ok()) {
+    if (!blocks.empty()) {
+      (void)pages_.blocks()->FreeMulti(blocks);
+    }
+    return written;
+  }
+
+  next = 0;
+  for (size_t m = 0; m < live.size(); ++m) {
+    VersionInfo* info = live[m]->info;
+    // Sub-file roots created in this update are named by the file table, so they are
+    // overwritten in place, after the pages they now link.
+    for (const auto& [bno, page] : sub_roots[m]) {
+      RETURN_IF_ERROR(pages_.OverwritePage(bno, page));
+    }
+    // The head no longer links its previous tail or the previous flush's chains.
+    std::vector<BlockNo> stale = std::move(info->head_tail);
+    stale.insert(stale.end(), info->flushed_blocks.begin(), info->flushed_blocks.end());
+    if (!stale.empty()) {
+      (void)pages_.blocks()->FreeMulti(stale);
+    }
+    next += root_tails[m].size();
+    info->head_tail = std::move(root_tails[m]);
+    size_t fresh_blocks = 0;
+    for (size_t i = 1; i < lengths[m].size(); ++i) {
+      fresh_blocks += lengths[m][i];
+    }
+    info->flushed_blocks.assign(blocks.begin() + static_cast<ptrdiff_t>(next),
+                                blocks.begin() + static_cast<ptrdiff_t>(next + fresh_blocks));
+    next += fresh_blocks;
+  }
+  return OkStatus();
+}
+
 void FileServer::FinishCommit(PendingCommit* req) {
   VersionInfo* info = req->info;
   const BlockNo head = info->head;
-  // Current-version bookkeeping, §5.3 sub-file commit completion, and the §5.1 reshare
-  // pass.
-  const bool reshare = options_.reshare_on_commit && req->fast_path;
-  IndexCommitted(info, req->root.base_ref, req->root, reshare);
+  // Current-version bookkeeping, the written pages into the committed-page cache (a
+  // published plain page never changes), §5.3 sub-file commit completion.
+  IndexCommitted(info, info->root.base_ref, req->written_root);
+  if (options_.cache_committed_pages) {
+    // Each written page replaces its copy source in the current version; only readers of
+    // older snapshots still reach the source, so it gives up its cache slot.
+    std::vector<BlockNo> superseded;
+    for (const auto& [bno, page] : req->written_pages) {
+      if (page.kind == PageKind::kPlain) {
+        CacheCommittedPage(bno, page);
+      }
+      if (page.base_ref != kNilRef) {
+        superseded.push_back(page.base_ref);
+      }
+    }
+    UncachePages(superseded);
+  }
   if (info->is_super_update) {
+    // Sub-file copies the tree no longer reaches were never written; their inner locks
+    // are cleared with the others.
+    std::vector<std::pair<BlockNo, BlockNo>> copied;
+    for (const auto& [old_head, provisional] : info->copied_subfiles) {
+      auto it = req->real_of.find(provisional);
+      if (it != req->real_of.end()) {
+        copied.emplace_back(old_head, it->second);
+      }
+    }
+    info->copied_subfiles = std::move(copied);
     Status st = FinishSuperCommit(info);
     if (!st.ok()) {
       req->result = st;
       return;
     }
-  }
-  if (reshare) {
-    (void)ReshareCleanPages(head);  // best effort; failures leave extra garbage for the GC
   }
   req->outcome = req->fast_path ? commit_fast_path_ : commit_validated_;
   if (req->fast_path) {
@@ -328,8 +530,7 @@ void FileServer::FinishCommit(PendingCommit* req) {
   uncommitted_.erase(head);  // destroys req->info; nothing touches it past here
 }
 
-void FileServer::IndexCommitted(VersionInfo* info, BlockNo base, const Page& root,
-                                bool reshared) {
+void FileServer::IndexCommitted(VersionInfo* info, BlockNo base, const Page& root) {
   {
     std::lock_guard<std::mutex> lock(table_mu_);
     current_cache_[info->file_id] = info->head;
@@ -337,25 +538,18 @@ void FileServer::IndexCommitted(VersionInfo* info, BlockNo base, const Page& roo
   VersionIndex::CommittedRec rec;
   rec.head = info->head;
   if (info->sig.valid) {
-    // The signature stays sound even when the commit merged or reshares: it records this
-    // update's OWN flags, which is exactly what the on-disk tree keeps (grafts enter
+    // The signature stays sound even when the commit merged or reshared: it records this
+    // update's OWN flags, which is exactly what the written tree keeps (grafts enter
     // flags-cleared; reshare only drops flags, making signature tests conservative).
     rec.sig = std::make_shared<const AccessSig>(info->sig);
   }
-  if (!reshared) {
-    // Reshared commits get no root snapshot: the §5.1 pass rewrites the reference table
-    // right after commit and the superseded copies become garbage, so a stale snapshot
-    // could point at freed blocks.
-    rec.root = std::make_shared<const Page>(root);
-  }
+  rec.root = std::make_shared<const Page>(root);
   index_.OnCommit(info->file_id, base, std::move(rec));
 }
 
-Result<BlockNo> FileServer::CommitGrouped(VersionInfo* info, Page root,
-                                          obs::Counter** outcome_ctr) {
+Result<BlockNo> FileServer::CommitGrouped(VersionInfo* info, obs::Counter** outcome_ctr) {
   PendingCommit req;
   req.info = info;
-  req.root = std::move(root);
   std::unique_lock<std::mutex> lock(commit_mu_);
   commit_queue_.push_back(&req);
   for (;;) {
@@ -427,12 +621,13 @@ Status FileServer::FinishSuperCommit(VersionInfo* info) {
   std::unordered_set<BlockNo> superseded;
   for (const auto& [old_head, new_head] : info->copied_subfiles) {
     ASSIGN_OR_RETURN(Port block_lock, AcquireBlockLock(old_head));
-    auto base = LoadPageUncached(old_head);
+    std::vector<BlockNo> tail;
+    auto base = LoadPageUncached(old_head, &tail);
     Status st = base.ok() ? OkStatus() : base.status();
     if (st.ok() && base->commit_ref == kNilRef) {
       base->commit_ref = new_head;
       base->inner_lock = kNullPort;
-      st = pages_.OverwritePage(old_head, *base);
+      st = pages_.OverwritePage(old_head, *base, &tail);
     }
     ReleaseBlockLock(old_head, block_lock);
     RETURN_IF_ERROR(st);
@@ -491,10 +686,13 @@ Status FileServer::AbortLocked(VersionInfo* info) {
     }
   }
 
-  // Free exactly the chains this version allocated; merged trees may reference committed
-  // pages of other versions, which must survive.
+  // Free exactly the blocks this version owns; its tree shares committed pages of other
+  // versions, which must survive. Pages never flushed never had a block.
   for (BlockNo bno : info->allocated_blocks) {
     (void)pages_.FreePage(bno);
+  }
+  if (!info->flushed_blocks.empty()) {
+    (void)pages_.blocks()->FreeMulti(info->flushed_blocks);
   }
 
   BlockNo head = info->head;
@@ -515,73 +713,8 @@ Status FileServer::Abort(const Capability& version) {
 }
 
 // ---------------------------------------------------------------------------
-// Reshare (§5.1's GC rule, applied at commit)
+// Orphan cleanup
 // ---------------------------------------------------------------------------
-
-Result<bool> FileServer::ReshareSubtree(Page* page, bool* subtree_clean) {
-  // Post-order: try to reshare each copied child, then report whether this page's whole
-  // subtree is free of writes and modifications.
-  bool changed = false;
-  bool clean = true;
-  for (PageRef& ref : page->refs) {
-    if (!ref.copied() || ref.block == kNilRef) {
-      continue;
-    }
-    auto child = LoadPageUncached(ref.block);
-    if (!child.ok()) {
-      clean = false;
-      continue;
-    }
-    if (child->IsVersionPage()) {
-      clean = false;  // sub-file version pages are never reshared
-      continue;
-    }
-    bool child_clean = true;
-    ASSIGN_OR_RETURN(bool child_changed, ReshareSubtree(&*child, &child_clean));
-    if (child_changed) {
-      UncachePage(ref.block);
-      RETURN_IF_ERROR(pages_.OverwritePage(ref.block, *child));
-      changed = true;
-    }
-    if (child_clean && !ref.written() && !ref.modified() && child->base_ref != kNilRef) {
-      // "The garbage collector may remove pages that were copied but not written or
-      // modified and reshare the corresponding page from the version on which it was
-      // based." The copy is left for the background GC to sweep (it is unreachable once
-      // the reference is redirected); freeing it here could pull blocks out from under a
-      // concurrent serialisability test.
-      ref.block = child->base_ref;
-      ref.flags = 0;
-      changed = true;
-    } else if (!child_clean || ref.written() || ref.modified()) {
-      clean = false;
-    }
-  }
-  *subtree_clean = clean;
-  return changed;
-}
-
-Status FileServer::ReshareCleanPages(BlockNo head) {
-  ASSIGN_OR_RETURN(Page root, LoadPageUncached(head));
-  bool clean = true;
-  ASSIGN_OR_RETURN(bool changed, ReshareSubtree(&root, &clean));
-  if (!changed) {
-    return OkStatus();
-  }
-  // The version page is shared mutable state: a successor may set our commit reference at
-  // any moment. Re-read under the block lock and only replace the reference table, keeping
-  // the freshly observed header (commit reference, locks).
-  ASSIGN_OR_RETURN(Port block_lock, AcquireBlockLock(head));
-  Status st;
-  auto fresh = LoadPageUncached(head);
-  if (fresh.ok()) {
-    fresh->refs = root.refs;
-    st = pages_.OverwritePage(head, *fresh);
-  } else {
-    st = fresh.status();
-  }
-  ReleaseBlockLock(head, block_lock);
-  return st;
-}
 
 Status FileServer::FreePrivatePages(BlockNo head) {
   // Orphan cleanup (tests, and aborting a prepared cross-shard version recovered after a
@@ -658,12 +791,17 @@ Result<FileServer::CacheCheck> FileServer::ValidateCache(
   }
 
   // Collect the committed versions after the cached one by following commit references.
+  // A cache further behind than the walk's bound cannot be validated: discard everything,
+  // as for a pruned version, rather than trust a truncated chain.
+  constexpr int kMaxValidatedVersions = 4096;
   std::vector<BlockNo> newer;
   BlockNo cursor = cached_head;
-  for (int step = 0; step < 4096; ++step) {
+  for (int step = 0;; ++step) {
     auto page = LoadPageUncached(cursor);
-    if (!page.ok() || (cursor == cached_head && page->file_cap.object != file_id)) {
-      // The cached version was pruned (or never belonged to this file): discard everything.
+    if (!page.ok() || (cursor == cached_head && page->file_cap.object != file_id) ||
+        step == kMaxValidatedVersions) {
+      // The cached version was pruned (or never belonged to this file), or is too far
+      // behind: discard everything.
       out.invalid = cached_paths;
       return out;
     }

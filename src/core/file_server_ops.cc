@@ -133,42 +133,28 @@ Result<Capability> FileServer::CreateVersion(const Capability& file, Port owner_
   // keyed to this server's own port (dies with the server, which is exactly right).
   Port owner = owner_port != kNullPort ? owner_port : port();
 
-  BlockNo base_head = kNilRef;
-  RETURN_IF_ERROR(
-      AcquireUpdateLocks(file_id, entry.is_super, owner, respect_soft_lock, &base_head));
-
-  // "When a new version is created, it behaves as if it were a copy of the current
-  // version. In fact, when it is created, a new version shares its page tree with the
-  // current version" — the fresh version page carries the base's data and references with
-  // all access flags cleared.
-  ASSIGN_OR_RETURN(Page base, LoadPageUncached(base_head));
-  Page fresh = base;
-  for (PageRef& ref : fresh.refs) {
-    ref.flags = 0;
-  }
-  fresh.base_ref = base_head;
-  fresh.commit_ref = kNilRef;
-  fresh.top_lock = kNullPort;
-  fresh.inner_lock = kNullPort;
-  fresh.prepare_txn = 0;
-  fresh.root_flags = RefFlag::kCopied;
-  fresh.file_cap = SignFileCap(file_id);
-  ASSIGN_OR_RETURN(BlockNo head, pages_.WritePage(fresh));
-  fresh.version_cap = SignVersionCap(head);
-  RETURN_IF_ERROR(pages_.OverwritePage(head, fresh));
-
+  // The head block comes first: the version capability embeds its number, so the head is
+  // written once, capability included, under the base's block lock. Nothing below the
+  // head is written before the commit flush.
+  ASSIGN_OR_RETURN(std::vector<BlockNo> reserved, pages_.AllocBlocks(1));
   VersionInfo info;
   info.file_id = file_id;
-  info.head = head;
-  info.base_head = base_head;
+  info.head = reserved[0];
   info.owner = owner;
   info.is_super_update = entry.is_super;
-  info.allocated_blocks.push_back(head);
+  Status locked = AcquireUpdateLocks(file_id, entry.is_super, owner, respect_soft_lock,
+                                     info.head, &info);
+  if (!locked.ok()) {
+    (void)pages_.blocks()->FreeMulti(reserved);
+    return locked;
+  }
+  info.allocated_blocks.push_back(info.head);
+  Capability cap = info.root.version_cap;
   {
     std::lock_guard<std::mutex> lock(versions_mu_);
-    uncommitted_.emplace(head, std::move(info));
+    uncommitted_.emplace(info.head, std::move(info));
   }
-  return fresh.version_cap;
+  return cap;
 }
 
 // ---------------------------------------------------------------------------
@@ -209,7 +195,7 @@ Status FileServer::WritePage(const Capability& version, const PagePath& path,
     return InvalidArgumentError("page would exceed 32K transaction limit");
   }
   target.dirty = true;
-  return PersistSteps(&steps);
+  return PersistSteps(op.info, &steps);
 }
 
 Status FileServer::InsertRef(const Capability& version, const PagePath& parent,
@@ -234,7 +220,7 @@ Status FileServer::InsertRef(const Capability& version, const PagePath& parent,
     return InvalidArgumentError("page would exceed 32K transaction limit");
   }
   target.dirty = true;
-  return PersistSteps(&steps);
+  return PersistSteps(op.info, &steps);
 }
 
 Status FileServer::RemoveRef(const Capability& version, const PagePath& parent,
@@ -256,7 +242,7 @@ Status FileServer::RemoveRef(const Capability& version, const PagePath& parent,
   }
   target.page.refs.erase(target.page.refs.begin() + index);
   target.dirty = true;
-  return PersistSteps(&steps);
+  return PersistSteps(op.info, &steps);
 }
 
 Result<std::vector<uint8_t>> FileServer::ReadRefs(const Capability& version,
@@ -309,7 +295,7 @@ Status FileServer::MoveSubtree(const Capability& version, const PagePath& from,
     }
     page.page.refs.insert(page.page.refs.begin() + index, moved);
     page.dirty = true;
-    return PersistSteps(&steps);
+    return PersistSteps(op.info, &steps);
   }
 
   // Detach from the source parent.
@@ -324,7 +310,7 @@ Status FileServer::MoveSubtree(const Capability& version, const PagePath& from,
   PageRef moved = src.page.refs[from.LastIndex()];
   src.page.refs.erase(src.page.refs.begin() + from.LastIndex());
   src.dirty = true;
-  RETURN_IF_ERROR(PersistSteps(&src_steps));
+  RETURN_IF_ERROR(PersistSteps(op.info, &src_steps));
 
   // The removal shifted the source page's sibling indices; if the destination path passes
   // through the source parent at a higher index, re-address it.
@@ -352,7 +338,7 @@ Status FileServer::MoveSubtree(const Capability& version, const PagePath& from,
     return InvalidArgumentError("page would exceed 32K transaction limit");
   }
   dst.dirty = true;
-  return PersistSteps(&dst_steps);
+  return PersistSteps(op.info, &dst_steps);
 }
 
 Status FileServer::SplitPage(const Capability& version, const PagePath& path,
@@ -387,8 +373,7 @@ Status FileServer::SplitPage(const Capability& version, const PagePath& path,
   sibling.kind = PageKind::kPlain;
   sibling.data.assign(target.page.data.begin() + data_offset, target.page.data.end());
   sibling.refs.assign(target.page.refs.begin() + ref_index, target.page.refs.end());
-  ASSIGN_OR_RETURN(BlockNo sibling_bno, pages_.WritePage(sibling));
-  op.info->allocated_blocks.push_back(sibling_bno);
+  ASSIGN_OR_RETURN(BlockNo sibling_bno, AddPrivatePage(op.info, std::move(sibling)));
 
   target.page.data.resize(data_offset);
   target.page.refs.resize(ref_index);
@@ -419,7 +404,7 @@ Status FileServer::SplitPage(const Capability& version, const PagePath& path,
         NormalizeFlags(steps[0].page.root_flags | RefFlag::kModified);
   }
   parent.dirty = true;
-  return PersistSteps(&steps);
+  return PersistSteps(op.info, &steps);
 }
 
 Result<Capability> FileServer::CreateSubFile(const Capability& version, const PagePath& parent,
@@ -454,10 +439,13 @@ Result<Capability> FileServer::CreateSubFile(const Capability& version, const Pa
   // Inner-locked from birth: the sub-file only becomes updatable by others once the
   // enclosing super-file update commits or aborts.
   sub_root.inner_lock = op.info->owner;
+  // Unlike the pages below it, the sub-file's root is written now: the file table names it
+  // (registered below). Later changes to it stay in the private page table until commit.
   ASSIGN_OR_RETURN(BlockNo sub_head, pages_.WritePage(sub_root));
   sub_root.version_cap = SignVersionCap(sub_head);
   RETURN_IF_ERROR(pages_.OverwritePage(sub_head, sub_root));
   op.info->allocated_blocks.push_back(sub_head);
+  op.info->pages.emplace(sub_head, sub_root);
   op.info->locked_subfiles.push_back(sub_head);
   op.info->created_subfiles.push_back(sub_id);
   op.info->is_super_update = true;
@@ -468,7 +456,7 @@ Result<Capability> FileServer::CreateSubFile(const Capability& version, const Pa
     return InvalidArgumentError("page would exceed 32K transaction limit");
   }
   target.dirty = true;
-  RETURN_IF_ERROR(PersistSteps(&steps));
+  RETURN_IF_ERROR(PersistSteps(op.info, &steps));
 
   // Register the sub-file and mark the enclosing file as a super-file.
   ASSIGN_OR_RETURN(Port block_lock, AcquireBlockLock(table_head_));

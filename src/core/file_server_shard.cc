@@ -48,7 +48,6 @@ Result<BlockNo> FileServer::Prepare(const Capability& version, uint64_t txn_id) 
   // can never see the staged version without the marker.
   PendingCommit req;
   req.info = info;
-  ASSIGN_OR_RETURN(req.root, LoadPageUncached(head));
   CommitSegment({&req}, txn_id);
   if (!req.result.ok()) {
     if (req.result.status().code() == ErrorCode::kConflict) {
@@ -63,8 +62,9 @@ Result<BlockNo> FileServer::Prepare(const Capability& version, uint64_t txn_id) 
   PreparedRec rec;
   rec.file_id = info->file_id;
   rec.head = head;
-  rec.base_head = req.root.base_ref;
+  rec.base_head = info->root.base_ref;
   rec.allocated_blocks = std::move(info->allocated_blocks);
+  rec.flushed_blocks = std::move(info->flushed_blocks);
   rec.know_allocations = true;
   rec.sig = std::move(info->sig);
   prepared_.emplace(txn_id, std::move(rec));
@@ -90,11 +90,12 @@ Status FileServer::Decide(uint64_t txn_id, bool commit) {
     // Clear the on-disk marker; the staged version becomes a normal chain element and
     // FindCurrentHead publishes it.
     ASSIGN_OR_RETURN(Port block_lock, AcquireBlockLock(rec.head));
-    auto page = LoadPageUncached(rec.head);
+    std::vector<BlockNo> tail;
+    auto page = LoadPageUncached(rec.head, &tail);
     Status st = page.ok() ? OkStatus() : page.status();
     if (st.ok() && page->prepare_txn != 0) {
       page->prepare_txn = 0;
-      st = pages_.OverwritePage(rec.head, *page);
+      st = pages_.OverwritePage(rec.head, *page, &tail);
     }
     ReleaseBlockLock(rec.head, block_lock);
     RETURN_IF_ERROR(st);
@@ -124,11 +125,12 @@ Status FileServer::Decide(uint64_t txn_id, bool commit) {
   bool unlinked = false;
   {
     ASSIGN_OR_RETURN(Port block_lock, AcquireBlockLock(rec.base_head));
-    auto base = LoadPageUncached(rec.base_head);
+    std::vector<BlockNo> tail;
+    auto base = LoadPageUncached(rec.base_head, &tail);
     Status st = base.ok() ? OkStatus() : base.status();
     if (st.ok() && base->commit_ref == rec.head) {
       base->commit_ref = kNilRef;
-      st = pages_.OverwritePage(rec.base_head, *base);
+      st = pages_.OverwritePage(rec.base_head, *base, &tail);
       unlinked = st.ok();
     }
     ReleaseBlockLock(rec.base_head, block_lock);
@@ -137,6 +139,9 @@ Status FileServer::Decide(uint64_t txn_id, bool commit) {
   if (rec.know_allocations) {
     for (BlockNo bno : rec.allocated_blocks) {
       (void)pages_.FreePage(bno);
+    }
+    if (!rec.flushed_blocks.empty()) {
+      (void)pages_.blocks()->FreeMulti(rec.flushed_blocks);
     }
   } else if (unlinked) {
     // Recovered after a restart: the allocation list died with the process. The staged

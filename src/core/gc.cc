@@ -90,11 +90,12 @@ Status GarbageCollector::PruneOldVersions() {
     BlockNo new_oldest = (*chain)[cut];
     // Maintain Figure 4's invariant: "the oldest version's base reference [is] nil."
     RETURN_IF_ERROR(pages->LockBlock(new_oldest, fs->port()));
-    auto page = pages->ReadPage(new_oldest);
+    std::vector<BlockNo> tail;
+    auto page = pages->ReadPage(new_oldest, &tail);
     Status st = page.ok() ? OkStatus() : page.status();
     if (st.ok()) {
       page->base_ref = kNilRef;
-      st = pages->OverwritePage(new_oldest, *page);
+      st = pages->OverwritePage(new_oldest, *page, &tail);
     }
     RETURN_IF_ERROR(pages->UnlockBlock(new_oldest, fs->port()));
     RETURN_IF_ERROR(st);
@@ -211,6 +212,11 @@ Status GarbageCollector::RunCycle() {
     if (marked.count(bno) == 0 && born_during_mark.count(bno) == 0) {
       to_free.push_back(bno);
     }
+  }
+  // A swept number is handed out again: no server may keep serving its old page from the
+  // committed-page cache.
+  for (FileServer* server : servers_) {
+    server->UncachePages(to_free);
   }
   uint64_t swept = 0;
   if (!to_free.empty() && BatchingEnabled() && pages->blocks()->FreeMulti(to_free).ok()) {

@@ -45,15 +45,23 @@ PageStore::PageStore(BlockStore* blocks) : blocks_(blocks) {}
 
 Result<BlockNo> PageStore::AllocBlock(std::span<const uint8_t> payload) {
   ASSIGN_OR_RETURN(BlockNo bno, blocks_->AllocWrite(payload));
-  RecordEpochAllocations({&bno, 1});
+  RETURN_IF_ERROR(RecordEpochAllocations({&bno, 1}));
   return bno;
 }
 
-void PageStore::RecordEpochAllocations(std::span<const BlockNo> bnos) {
-  std::lock_guard<std::mutex> lock(epoch_mu_);
-  if (epoch_open_) {
-    epoch_allocations_.insert(bnos.begin(), bnos.end());
+Status PageStore::RecordEpochAllocations(std::span<const BlockNo> bnos) {
+  {
+    std::lock_guard<std::mutex> lock(epoch_mu_);
+    if (epoch_open_) {
+      epoch_allocations_.insert(bnos.begin(), bnos.end());
+    }
   }
+  if (std::any_of(bnos.begin(), bnos.end(),
+                  [](BlockNo bno) { return bno >= kFirstProvisionalBlock; })) {
+    (void)blocks_->FreeMulti(bnos);
+    return NoSpaceError("store allocated a block in the provisional range");
+  }
+  return OkStatus();
 }
 
 Result<BlockNo> PageStore::WriteTailChain(std::span<const uint8_t> payload,
@@ -72,9 +80,7 @@ Result<BlockNo> PageStore::WriteTailChain(std::span<const uint8_t> payload,
   // Batched: reserve every tail block in one round trip, then fill them in one vectored
   // write. Safe regardless of write order inside the batch — the chain is unreachable
   // until the caller links the head, which always happens last and alone.
-  ASSIGN_OR_RETURN(std::vector<BlockNo> bnos,
-                   blocks_->AllocMulti(static_cast<uint32_t>(num_chunks - 1)));
-  RecordEpochAllocations(bnos);
+  ASSIGN_OR_RETURN(std::vector<BlockNo> bnos, AllocBlocks(static_cast<uint32_t>(num_chunks - 1)));
   std::vector<BlockWrite> writes(bnos.size());
   for (size_t t = 1; t < num_chunks; ++t) {
     BlockNo next = (t + 1 < num_chunks) ? bnos[t] : kNilRef;
@@ -100,12 +106,14 @@ Result<BlockNo> PageStore::WritePage(const Page& page) {
   return AllocBlock(EncodeChainBlock(next, ChunkAt(payload, chunk_cap, 0)));
 }
 
-Status PageStore::OverwritePage(BlockNo head, const Page& page) {
+Status PageStore::OverwritePage(BlockNo head, const Page& page,
+                                const std::vector<BlockNo>* old_tail) {
   // Remember the old tail so it can be freed after the atomic head switch.
-  std::vector<BlockNo> old_tail;
-  {
+  std::vector<BlockNo> walked_tail;
+  if (old_tail == nullptr) {
     ASSIGN_OR_RETURN(std::vector<BlockNo> old_chain, ChainBlocks(head));
-    old_tail.assign(old_chain.begin() + 1, old_chain.end());
+    walked_tail.assign(old_chain.begin() + 1, old_chain.end());
+    old_tail = &walked_tail;
   }
 
   ASSIGN_OR_RETURN(std::vector<uint8_t> payload, page.Serialize());
@@ -117,83 +125,60 @@ Status PageStore::OverwritePage(BlockNo head, const Page& page) {
   // point of the overwrite.
   ASSIGN_OR_RETURN(BlockNo next, WriteTailChain(payload, chunk_cap, num_chunks));
   RETURN_IF_ERROR(blocks_->Write(head, EncodeChainBlock(next, ChunkAt(payload, chunk_cap, 0))));
-
-  return blocks_->FreeMulti(old_tail);
+  return blocks_->FreeMulti(*old_tail);
 }
 
-Status PageStore::OverwritePages(std::vector<PendingOverwrite> pending) {
-  if (pending.empty()) {
-    return OkStatus();
+Result<size_t> PageStore::ChainLength(const Page& page) const {
+  const size_t total = page.SerializedSize();
+  if (total > kMaxPageBytes) {
+    return InvalidArgumentError("page exceeds 32K transaction limit");
   }
-  if (!BatchingEnabled()) {
-    for (PendingOverwrite& p : pending) {
-      RETURN_IF_ERROR(OverwritePage(p.head, p.page));
-    }
-    return OkStatus();
-  }
-
   const uint32_t chunk_cap = blocks_->payload_capacity() - kChainHeaderBytes;
-  std::vector<std::vector<uint8_t>> payloads(pending.size());
-  std::vector<size_t> num_chunks(pending.size());
-  std::vector<BlockNo> old_tails;
-  size_t tails_needed = 0;
-  for (size_t i = 0; i < pending.size(); ++i) {
-    ASSIGN_OR_RETURN(payloads[i], pending[i].page.Serialize());
-    size_t total = payloads[i].size();
-    num_chunks[i] = total == 0 ? 1 : (total + chunk_cap - 1) / chunk_cap;
-    tails_needed += num_chunks[i] - 1;
-    if (pending[i].old_tail_known) {
-      old_tails.insert(old_tails.end(), pending[i].old_tail.begin(), pending[i].old_tail.end());
-    } else {
-      ASSIGN_OR_RETURN(std::vector<BlockNo> chain, ChainBlocks(pending[i].head));
-      old_tails.insert(old_tails.end(), chain.begin() + 1, chain.end());
-    }
-  }
-
-  // Reserve every new tail block across ALL pages in one round trip, fill them in one
-  // vectored write, then switch every head. Unreferenced until their head is linked, the
-  // tails may land in any order; heads only switch after the whole tail batch is durable.
-  std::vector<BlockNo> bnos;
-  if (tails_needed > 0) {
-    ASSIGN_OR_RETURN(bnos, blocks_->AllocMulti(static_cast<uint32_t>(tails_needed)));
-    RecordEpochAllocations(bnos);
-  }
-  std::vector<BlockWrite> tail_writes;
-  tail_writes.reserve(tails_needed);
-  std::vector<BlockWrite> head_writes;
-  head_writes.reserve(pending.size());
-  size_t used = 0;
-  for (size_t i = 0; i < pending.size(); ++i) {
-    std::span<const uint8_t> payload = payloads[i];
-    const size_t n = num_chunks[i];
-    const BlockNo* mine = bnos.data() + used;  // this page's n-1 tail blocks
-    used += n - 1;
-    for (size_t t = 1; t < n; ++t) {
-      BlockNo next = (t + 1 < n) ? mine[t] : kNilRef;
-      tail_writes.push_back({mine[t - 1], EncodeChainBlock(next, ChunkAt(payload, chunk_cap, t))});
-    }
-    BlockNo head_next = n > 1 ? mine[0] : kNilRef;
-    head_writes.push_back(
-        {pending[i].head, EncodeChainBlock(head_next, ChunkAt(payload, chunk_cap, 0))});
-  }
-  if (!tail_writes.empty()) {
-    Status written = blocks_->WriteBatch(tail_writes);
-    if (!written.ok()) {
-      (void)blocks_->FreeMulti(bnos);  // best-effort reclamation of the unreferenced chains
-      return written;
-    }
-  }
-  RETURN_IF_ERROR(blocks_->WriteBatch(head_writes));
-  return blocks_->FreeMulti(old_tails);
+  return total == 0 ? 1 : (total + chunk_cap - 1) / chunk_cap;
 }
 
-Result<Page> PageStore::ReadPage(BlockNo head) {
+Result<std::vector<BlockNo>> PageStore::AllocBlocks(uint32_t n) {
+  if (n == 0) {
+    return std::vector<BlockNo>();
+  }
+  ASSIGN_OR_RETURN(std::vector<BlockNo> bnos, blocks_->AllocMulti(n));
+  RETURN_IF_ERROR(RecordEpochAllocations(bnos));
+  return bnos;
+}
+
+Status PageStore::WriteChains(std::span<const ChainWrite> writes) {
+  const uint32_t chunk_cap = blocks_->payload_capacity() - kChainHeaderBytes;
+  std::vector<BlockWrite> batch;
+  for (const ChainWrite& w : writes) {
+    ASSIGN_OR_RETURN(std::vector<uint8_t> payload, w.page.Serialize());
+    const size_t n = payload.empty() ? 1 : (payload.size() + chunk_cap - 1) / chunk_cap;
+    if (w.chain.size() != n) {
+      return InternalError("chain length does not match the page");
+    }
+    for (size_t i = 0; i < n; ++i) {
+      BlockNo next = i + 1 < n ? w.chain[i + 1] : kNilRef;
+      batch.push_back({w.chain[i], EncodeChainBlock(next, ChunkAt(payload, chunk_cap, i))});
+    }
+  }
+  if (batch.empty()) {
+    return OkStatus();
+  }
+  return blocks_->WriteBatch(batch);
+}
+
+Result<Page> PageStore::ReadPage(BlockNo head, std::vector<BlockNo>* tail) {
   std::vector<uint8_t> payload;
   BlockNo bno = head;
   size_t guard = 0;
+  if (tail != nullptr) {
+    tail->clear();
+  }
   while (bno != kNilRef) {
     if (++guard > 4096) {
       return CorruptError("page chain too long (cycle?)");
+    }
+    if (tail != nullptr && bno != head) {
+      tail->push_back(bno);
     }
     ASSIGN_OR_RETURN(std::vector<uint8_t> raw, blocks_->Read(bno));
     ASSIGN_OR_RETURN(ChainBlock cb, DecodeChainBlock(raw));

@@ -18,7 +18,8 @@
 // of one AllocWrite per block (safe: a fresh chain is unreachable until its head is linked,
 // and an overwrite's head block is still written last, alone, as the atomic commit point).
 // ReadPages fetches many pages with one ReadMulti per chain *level* — the workhorse of
-// tree scans, recovery scans and the commit merge pass.
+// tree and recovery scans. The commit flush writes a whole private tree with
+// AllocBlocks + WriteChains (one AllocMulti, one WriteBatch).
 
 #ifndef SRC_CORE_PAGE_STORE_H_
 #define SRC_CORE_PAGE_STORE_H_
@@ -35,6 +36,11 @@
 
 namespace afs {
 
+// Block numbers from here up to kNilRef never reach a block server: a file server numbers
+// the private pages of an uncommitted version from this range until its commit flush gives
+// them real blocks. PageStore refuses a store that allocates a block in it.
+inline constexpr BlockNo kFirstProvisionalBlock = 0x0f000000;
+
 // One element of a vectored page read; status is per page so scans can tolerate holes.
 struct PageReadResult {
   Status status;
@@ -48,28 +54,38 @@ class PageStore {
   // Write a new page; returns the head block number.
   Result<BlockNo> WritePage(const Page& page);
 
-  // Atomically replace the contents of the page whose head is `head`.
-  Status OverwritePage(BlockNo head, const Page& page);
+  // Atomically replace the contents of the page whose head is `head`. A caller that has
+  // just read the page passes its tail chain (ReadPage's `tail`) in `old_tail`, sparing the
+  // store a re-read of the chain only to learn which blocks to free.
+  Status OverwritePage(BlockNo head, const Page& page,
+                       const std::vector<BlockNo>* old_tail = nullptr);
 
-  // One deferred overwrite for OverwritePages. When the caller already walked the page's
-  // chain (ReadPagesDetailed hands it out for free) it can pass the current tail blocks
-  // in `old_tail` and set `old_tail_known`, sparing the store a serial re-walk of the
-  // chain just to learn which blocks to free.
-  struct PendingOverwrite {
-    BlockNo head = kNilRef;
+  // --- Writes into caller-numbered chains -------------------------------------
+  // A page's block numbers are known before it is written, so references to it can be
+  // set first: ChainLength says how many blocks a page takes, AllocBlocks reserves them
+  // with one AllocMulti, WriteChains fills them with one WriteBatch.
+
+  // Blocks `page` occupies once serialised (its head plus its tail chain).
+  Result<size_t> ChainLength(const Page& page) const;
+
+  // Reserve `n` fresh blocks with one AllocMulti, recorded in the GC allocation epoch.
+  Result<std::vector<BlockNo>> AllocBlocks(uint32_t n);
+
+  // A page and the blocks it is written into, head first; chain.size() must equal
+  // ChainLength(page).
+  struct ChainWrite {
     Page page;
-    std::vector<BlockNo> old_tail;
-    bool old_tail_known = false;
+    std::vector<BlockNo> chain;
   };
 
-  // Overwrite many pages with vectored I/O: one AllocMulti for every new tail block, one
-  // WriteBatch for all tails, then one WriteBatch for all heads, then one FreeMulti for
-  // all replaced tails. Per-page atomicity is unchanged — every page's new tail is
-  // durable before any head switches, and each head write is still a single block write.
-  // Falls back to per-page OverwritePage when batching is disabled.
-  Status OverwritePages(std::vector<PendingOverwrite> pending);
+  // Serialise every page into its chain and write them all with ONE WriteBatch. Nothing
+  // orders one block of the batch before another, so use it only for chains no reader can
+  // reach yet (fresh chains, the head of an uncommitted version) or for single-block pages
+  // (a block write is atomic).
+  Status WriteChains(std::span<const ChainWrite> writes);
 
-  Result<Page> ReadPage(BlockNo head);
+  // Read the page whose head is `head`; `tail`, if non-null, receives the rest of its chain.
+  Result<Page> ReadPage(BlockNo head, std::vector<BlockNo>* tail = nullptr);
 
   // Read many pages, batching the underlying block reads level-by-level across all chains.
   // result[i] corresponds to heads[i]; per-page failures do not fail the batch. If `chains`
@@ -103,7 +119,9 @@ class PageStore {
 
  private:
   Result<BlockNo> AllocBlock(std::span<const uint8_t> payload);
-  void RecordEpochAllocations(std::span<const BlockNo> bnos);
+  // Records fresh blocks in an open allocation epoch; fails (freeing them) if the store
+  // handed out a number in the provisional range.
+  Status RecordEpochAllocations(std::span<const BlockNo> bnos);
   // Allocate and fill a chain for `payload` whose head points at `next_after_head`...
   // actually: builds the TAIL chain for chunks [1, n) and returns the head's `next`
   // pointer (kNilRef for single-chunk pages). The head block itself is left to the caller

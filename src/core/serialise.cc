@@ -1,5 +1,6 @@
 #include "src/core/serialise.h"
 
+#include "src/block/block_store.h"
 #include "src/obs/span.h"
 
 namespace afs {
@@ -23,20 +24,18 @@ bool FlagsConflict(uint8_t fb, uint8_t fc) {
   return false;
 }
 
-Serialiser::Serialiser(PageStore* pages, std::function<Result<Page>(BlockNo)> load_committed,
+Serialiser::Serialiser(PrivateLoader load_private,
+                       std::function<Result<Page>(BlockNo)> load_committed,
                        MultiLoader load_committed_multi)
-    : pages_(pages),
+    : load_private_(std::move(load_private)),
       load_committed_(std::move(load_committed)),
       load_committed_multi_(std::move(load_committed_multi)) {}
 
 Result<bool> Serialiser::TestAndMerge(BlockNo b_head, Page* b_root, BlockNo c_head,
                                       const Page* c_root_hint) {
   pages_visited_ = 0;
-  pending_overwrites_.clear();
-  // commit.validate covers the in-memory walk (test + merge planning); commit.merge the
-  // vectored flush of the merged children. validate is Ended explicitly so the two are
-  // SIBLING phases under the commit span, not nested — the critical-path analyzer sums
-  // direct children only.
+  // commit.validate covers the walk: the test, the merge into V.b's in-memory pages, and
+  // the committed pages it reads.
   obs::ScopedSpan validate_span("commit.validate", obs::SpanKind::kPhase, b_head, c_head);
   Page c_root;
   if (c_root_hint != nullptr) {
@@ -48,17 +47,8 @@ Result<bool> Serialiser::TestAndMerge(BlockNo b_head, Page* b_root, BlockNo c_he
   // root_flags.
   ASSIGN_OR_RETURN(bool ok, MergePages(b_root->root_flags, b_root, c_root.root_flags, c_root,
                                        /*is_root=*/true));
-  if (!ok) {
-    pending_overwrites_.clear();  // conflict: nothing was persisted, nothing to undo
-    return false;
-  }
-  validate_span.set_args(pages_visited_, pending_overwrites_.size());
-  validate_span.End();
-  // One vectored flush for every merged child (the root is persisted by the caller).
-  obs::ScopedSpan merge_span("commit.merge", obs::SpanKind::kPhase, b_head, c_head);
-  RETURN_IF_ERROR(pages_->OverwritePages(std::move(pending_overwrites_)));
-  pending_overwrites_.clear();
-  return true;
+  validate_span.set_args(pages_visited_, ok ? 1 : 0);
+  return ok;
 }
 
 Result<bool> Serialiser::MergePages(uint8_t fb, Page* b_page, uint8_t fc, const Page& c_page,
@@ -130,28 +120,16 @@ Result<bool> Serialiser::MergeRefTables(Page* b_page, const Page& c_page) {
     return true;
   }
 
-  // Prefetch all both-copied children of this ref table — V.b's privately, V.c's through
-  // the committed loader — one vectored read per side instead of one RPC per child.
-  // (A conflict found at child k means children k+1.. were read needlessly, but reads are
-  // side-effect free and the version is discarded on conflict anyway.)
-  std::vector<BlockNo> b_blocks, c_blocks;
-  b_blocks.reserve(recurse.size());
+  // Prefetch all both-copied committed children of this ref table with one vectored read
+  // instead of one RPC per child. (A conflict found at child k means children k+1.. were
+  // read needlessly, but reads are side-effect free and the version is discarded on
+  // conflict anyway.) V.b's side is in memory.
+  std::vector<BlockNo> c_blocks;
   c_blocks.reserve(recurse.size());
   for (size_t i : recurse) {
-    b_blocks.push_back(b_page->refs[i].block);
     c_blocks.push_back(c_page.refs[i].block);
   }
-  // Keep the b-side chain lists: the deferred overwrite flush frees each child's old tail
-  // without re-walking its chain.
-  std::vector<std::vector<BlockNo>> b_chains;
-  ASSIGN_OR_RETURN(std::vector<PageReadResult> b_detailed,
-                   pages_->ReadPagesDetailed(b_blocks, &b_chains));
-  std::vector<Page> b_children, c_children;
-  b_children.reserve(b_detailed.size());
-  for (PageReadResult& r : b_detailed) {
-    RETURN_IF_ERROR(r.status);
-    b_children.push_back(std::move(r.page));
-  }
+  std::vector<Page> c_children;
   if (load_committed_multi_ != nullptr && BatchingEnabled()) {
     ASSIGN_OR_RETURN(c_children, load_committed_multi_(c_blocks));
     if (c_children.size() != c_blocks.size()) {
@@ -169,17 +147,12 @@ Result<bool> Serialiser::MergeRefTables(Page* b_page, const Page& c_page) {
     const size_t i = recurse[j];
     const PageRef b_ref = b_page->refs[i];
     const PageRef c_ref = c_page.refs[i];
-    ASSIGN_OR_RETURN(bool ok, MergePages(b_ref.flags, &b_children[j], c_ref.flags,
-                                         c_children[j], /*is_root=*/false));
+    ASSIGN_OR_RETURN(Page* b_child, load_private_(b_ref.block));
+    ASSIGN_OR_RETURN(bool ok, MergePages(b_ref.flags, b_child, c_ref.flags, c_children[j],
+                                         /*is_root=*/false));
     if (!ok) {
       return false;
     }
-    PageStore::PendingOverwrite po;
-    po.head = b_ref.block;
-    po.page = std::move(b_children[j]);
-    po.old_tail.assign(b_chains[j].begin() + 1, b_chains[j].end());
-    po.old_tail_known = true;
-    pending_overwrites_.push_back(std::move(po));
     // The reference keeps V.b's own flags only: V.c's accesses are recorded in V.c's tree,
     // which every later committer tests against while walking the chain.
   }

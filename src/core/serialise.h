@@ -11,7 +11,8 @@
 // prepares the new current version, which must contain the updates made in V.c and those
 // made in V.b. This is done by replacing unaccessed parts in V.b's page tree by
 // corresponding written parts in V.c's page tree." The merge mutates V.b's private pages in
-// place; committed pages of V.c are only read (and possibly shared into V.b's tree).
+// place — in memory: an uncommitted tree reaches the disk only in the commit flush — while
+// committed pages of V.c are only read (and possibly shared into V.b's tree).
 //
 // Conflict rule at an aligned reference pair (b = to-commit, c = committed successor):
 //   * data conflict       b.R ∧ c.W   — V.b read data V.c wrote
@@ -29,7 +30,7 @@
 // V.c's flags forward would make pipelined disjoint updates conflict spuriously with
 // writes their own base already included. One consequence: a version that merged contains
 // content its flags do not mark as written, so the §5.1 reshare rule must be skipped for
-// merged commits (FileServer::Commit does).
+// merged commits (FileServer::CommitSegment does).
 
 #ifndef SRC_CORE_SERIALISE_H_
 #define SRC_CORE_SERIALISE_H_
@@ -39,32 +40,29 @@
 #include <vector>
 
 #include "src/core/page.h"
-#include "src/core/page_store.h"
 
 namespace afs {
 
 class Serialiser {
  public:
+  // V.b's private pages — every page its tree reaches through a copied reference — looked
+  // up by (possibly provisional) number. The merge rewrites them in place.
+  using PrivateLoader = std::function<Result<Page*>(BlockNo)>;
   // Vectored form of `load_committed`: result[i] corresponds to blocks[i], all-or-nothing.
   using MultiLoader = std::function<Result<std::vector<Page>>(std::span<const BlockNo>)>;
 
   // `load_committed` reads committed (immutable) pages, possibly through the server's
-  // committed-page cache; V.b's private pages are always read through `pages` directly.
-  // `load_committed_multi`, when provided, lets the merge prefetch all of a ref table's
-  // both-copied committed children in one vectored read instead of one RPC per child.
-  Serialiser(PageStore* pages, std::function<Result<Page>(BlockNo)> load_committed,
+  // committed-page cache. `load_committed_multi`, when provided, lets the merge prefetch
+  // all of a ref table's both-copied committed children in one vectored read instead of
+  // one RPC per child.
+  Serialiser(PrivateLoader load_private, std::function<Result<Page>(BlockNo)> load_committed,
              MultiLoader load_committed_multi = nullptr);
 
-  // Test V.b (root page *b_root, already loaded, at block b_head) against committed
-  // successor V.c (at block c_head). On success (returns true) V.b's tree has been merged
-  // in place — except the root page itself, which is left modified in *b_root for the
-  // caller to persist together with the base-reference update. Returns false on a
-  // serialisability conflict (V.b's private pages are untouched on disk; the caller
-  // removes the version). Errors are I/O or corruption.
-  //
-  // Merged child pages are rewritten with ONE vectored flush at the end of a successful
-  // walk (PageStore::OverwritePages) rather than one OverwritePage per child — and using
-  // the chain lists the prefetch reads already produced, so no chain is walked twice.
+  // Test V.b (root page *b_root, whose head is b_head) against committed successor V.c (at
+  // block c_head). On success (returns true) V.b's tree — *b_root and its private pages —
+  // has been merged in place, for the caller to write out. Returns false on a
+  // serialisability conflict; V.b's pages may then be partly merged, and the caller
+  // removes the version. Errors are I/O or corruption.
   //
   // `c_root_hint`, when non-null, is V.c's root page as persisted at its commit; the walk
   // uses it instead of reading c_head, saving the root RPC. Only the flags, references and
@@ -82,12 +80,10 @@ class Serialiser {
                           bool is_root);
   Result<bool> MergeRefTables(Page* b_page, const Page& c_page);
 
-  PageStore* pages_;
+  PrivateLoader load_private_;
   std::function<Result<Page>(BlockNo)> load_committed_;
   MultiLoader load_committed_multi_;
   uint64_t pages_visited_ = 0;
-  // Overwrites of merged V.b children, deferred to one vectored flush on success.
-  std::vector<PageStore::PendingOverwrite> pending_overwrites_;
 };
 
 // True iff the flag pair conflicts under the rule above.

@@ -4,11 +4,18 @@
 #include <cstring>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "src/base/crc32.h"
 #include "src/obs/trace.h"
 
 namespace afs {
 namespace {
+
+// Sectors a checkpoint applies between block-file syncs (1 MB of 4 KB blocks).
+constexpr size_t kCheckpointSliceSectors = 256;
 
 constexpr uint32_t kSuperblockVersion = 1;
 constexpr uint32_t kSuperblockPayloadBytes = 40;  // fields covered by the superblock CRC
@@ -332,6 +339,12 @@ Status FileDisk::CheckpointLocked() {
                    block_file_->pending_bytes() - sector_size / 2)) {
       return UnavailableError("simulated power failure mid-checkpoint");
     }
+    // Apply in slices: the block file stages every unsynced sector in memory, and a
+    // threshold's worth from each disk at once is a needless peak. Syncing a slice early is
+    // always safe — the journal still holds every record until the superblock moves.
+    if ((i + 1) % kCheckpointSliceSectors == 0) {
+      RETURN_IF_ERROR(block_file_->Sync());
+    }
   }
   RETURN_IF_ERROR(block_file_->Sync());
   if (MaybeCrash(CrashPoint::kAfterCheckpointApply, 0)) {
@@ -360,6 +373,12 @@ Status FileDisk::CheckpointLocked() {
   }
   checkpoints_->Inc();
   checkpoint_blocks_->Inc(items.size());
+#if defined(__GLIBC__)
+  // The apply's staged sectors were allocated and freed on whichever writer thread crossed
+  // the threshold; glibc keeps such memory in that thread's arena. Hand it back, or every
+  // thread that ever checkpointed keeps its share resident.
+  malloc_trim(0);
+#endif
   return OkStatus();
 }
 

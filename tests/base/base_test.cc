@@ -131,6 +131,24 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
 
 TEST(Crc32Test, EmptyInput) { EXPECT_EQ(Crc32c(nullptr, 0), 0u); }
 
+TEST(Crc32Test, EightByteStepsMatchByteSteps) {
+  // Whole-buffer calls fold eight bytes per step; one-byte calls never do. Both must agree
+  // at every length and alignment, including the stored CRCs of a block-sized payload.
+  std::vector<uint8_t> data(4096 + 16);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 131 + (i >> 7));
+  }
+  for (size_t offset : {0, 1, 3, 7}) {
+    for (size_t len : {0, 1, 7, 8, 9, 15, 16, 17, 63, 4096}) {
+      uint32_t bytewise = 0;
+      for (size_t i = 0; i < len; ++i) {
+        bytewise = Crc32c(data.data() + offset + i, 1, bytewise);
+      }
+      EXPECT_EQ(Crc32c(data.data() + offset, len), bytewise) << offset << "+" << len;
+    }
+  }
+}
+
 TEST(RngTest, DeterministicForSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) {

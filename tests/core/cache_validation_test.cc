@@ -40,6 +40,23 @@ class CacheValidationTest : public ::testing::Test {
   FastCluster cluster_;
 };
 
+TEST_F(CacheValidationTest, CacheTooFarBehindIsInvalidated) {
+  // The validation walk follows at most 4096 commit references. A cache further behind
+  // must not be judged by the first 4096 successors only: the write that invalidates it
+  // may come later.
+  Capability file = MakeFile(2);
+  BlockNo cached = CurrentHead(file);
+  for (int i = 0; i < 4099; ++i) {
+    CommitWrite(file, PagePath({1}), "filler");
+  }
+  CommitWrite(file, PagePath({0}), "late write");
+  auto check = cluster_.fs().ValidateCache(file, cached, {PagePath({0})});
+  ASSERT_TRUE(check.ok());
+  ASSERT_EQ(check->invalid.size(), 1u);
+  EXPECT_EQ(check->invalid[0], PagePath({0}));
+  EXPECT_EQ(static_cast<BlockNo>(check->current_version.object), CurrentHead(file));
+}
+
 TEST_F(CacheValidationTest, NullOperationForUnsharedFile) {
   // "the cache entry will always be the most recent version of a file, so the
   // serialisability test is a null operation, and all pages in the cache will always be

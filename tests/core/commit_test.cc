@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <thread>
 
 #include "tests/testing/cluster.h"
@@ -277,6 +278,91 @@ TEST_F(CommitTest, MergedVersionConflictsWithLaterReaders) {
   ASSERT_TRUE(cluster_.fs().Commit(*vb).ok());
   // vd read page 0, which vc (now in vd's successor chain) wrote: must conflict.
   EXPECT_EQ(cluster_.fs().Commit(*vd).status().code(), ErrorCode::kConflict);
+}
+
+// The update path's block-server calls, pinned exactly. Uncommitted versions live in
+// memory until commit ("uncommitted versions need not be salvaged in a server crash"):
+// after CreateVersion writes the head, no page access touches a block until Commit's one
+// flush and flip. A block read or write added to the WritePage or ReadPage path fails here.
+TEST(UpdatePathCostTest, EightPageUpdateTouchesNoBlockBeforeCommit) {
+  FullCluster cluster(1);
+  FileServer& fs = cluster.fs();
+  // The calls the file server's stable store makes on its preferred member, by op.
+  const std::map<std::string, uint32_t> ops = {
+      {"alloc_write", 3}, {"write", 4},        {"read", 5},         {"free", 6},
+      {"lock", 7},        {"unlock", 8},       {"read_multi", 11},  {"write_multi", 12},
+      {"free_multi", 13}, {"alloc_multi", 14},
+  };
+  const auto calls = [&] {
+    std::map<std::string, uint64_t> out;
+    for (const auto& [name, opcode] : ops) {
+      out[name] =
+          cluster.block_a().metrics()->counter("rpc.op." + std::to_string(opcode) + ".count")
+              ->value();
+    }
+    return out;
+  };
+  const auto delta = [](const std::map<std::string, uint64_t>& before,
+                        const std::map<std::string, uint64_t>& after) {
+    std::map<std::string, uint64_t> out;
+    for (const auto& [name, count] : after) {
+      if (count != before.at(name)) {
+        out[name] = count - before.at(name);
+      }
+    }
+    return out;
+  };
+
+  // A file of 16 2 KB pages, as perfbench's update-8p uses.
+  auto file = fs.CreateFile();
+  ASSERT_TRUE(file.ok());
+  {
+    auto v = fs.CreateVersion(*file, kNullPort, false);
+    ASSERT_TRUE(v.ok());
+    for (uint32_t p = 0; p < 16; ++p) {
+      ASSERT_TRUE(fs.InsertRef(*v, PagePath::Root(), p).ok());
+      ASSERT_TRUE(fs.WritePage(*v, PagePath({p}), std::vector<uint8_t>(2048, 0)).ok());
+    }
+    ASSERT_TRUE(fs.Commit(*v).ok());
+  }
+
+  auto start = calls();
+  auto v = fs.CreateVersion(*file, kNullPort, false);
+  ASSERT_TRUE(v.ok());
+  auto created = calls();
+  // Find the current version (one read), reserve the head, then under the base's block
+  // lock: read it, and write its top lock and the head in one batch.
+  EXPECT_EQ(delta(start, created),
+            (std::map<std::string, uint64_t>{
+                {"alloc_multi", 1}, {"lock", 1}, {"read", 2}, {"unlock", 1}, {"write_multi", 1}}));
+
+  for (uint32_t p = 0; p < 16; p += 2) {
+    ASSERT_TRUE(fs.WritePage(*v, PagePath({p}), std::vector<uint8_t>(2048, 1)).ok());
+  }
+  auto read = fs.ReadPage(*v, PagePath({1}), false);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read->data, std::vector<uint8_t>(2048, 0));
+  auto accessed = calls();
+  EXPECT_EQ(delta(created, accessed), (std::map<std::string, uint64_t>{}));
+
+  ASSERT_TRUE(fs.Commit(*v).ok());
+  auto committed = calls();
+  // One flush — blocks for the 8 written pages, then those pages and the root in one
+  // batch (the page only read is reshared, never written) — and the flip: lock, read,
+  // write, unlock of the base's commit reference.
+  EXPECT_EQ(delta(accessed, committed),
+            (std::map<std::string, uint64_t>{{"alloc_multi", 1},
+                                             {"lock", 1},
+                                             {"read", 1},
+                                             {"unlock", 1},
+                                             {"write", 1},
+                                             {"write_multi", 1}}));
+
+  auto current = fs.GetCurrentVersion(*file);
+  for (uint32_t p = 0; p < 16; ++p) {
+    EXPECT_EQ(fs.ReadPage(*current, PagePath({p}), false)->data,
+              std::vector<uint8_t>(2048, p % 2 == 0 ? 1 : 0));
+  }
 }
 
 }  // namespace

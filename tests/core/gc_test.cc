@@ -46,6 +46,22 @@ class GcTest : public ::testing::Test {
   GarbageCollector gc_;
 };
 
+TEST_F(GcTest, ChainLongerThanWalkCapKeepsNewestVersions) {
+  // A chain of more than twice 4096 versions: the collector prunes and marks from the
+  // whole chain, so the sweep never frees pages of versions past any step cap.
+  Capability file = MakeFile(2);
+  for (int i = 0; i < 8300; ++i) {
+    CommitWrite(file, 0, "gen" + std::to_string(i));
+  }
+  ASSERT_TRUE(gc_.RunCycle().ok());
+  EXPECT_EQ(cluster_.fs().FileStat(file)->committed_versions, 1u);
+  auto current = cluster_.fs().GetCurrentVersion(file);
+  ASSERT_TRUE(current.ok());
+  auto page = cluster_.fs().ReadPage(*current, PagePath({0}), false);
+  ASSERT_TRUE(page.ok()) << page.status();
+  EXPECT_EQ(page->data, Bytes("gen8299"));
+}
+
 TEST_F(GcTest, IdleCycleFreesNothingLive) {
   // A non-pruning collector must not touch anything in a quiescent system.
   GarbageCollector keeper({&cluster_.fs()}, GcOptions{.keep_versions = 100});
@@ -220,6 +236,60 @@ TEST_F(GcTest, BackgroundModeStartsAndStops) {
 }
 
 // --- Reshare-on-commit (ablation A2, §5.1's "copied but not written" rule) ---
+
+TEST(GcCacheTest, SweptBlockReusedAsNewPageIsNotServedFromCache) {
+  // A small device, so the allocator's cursor wraps and hands swept numbers out again.
+  // fs1 only reads; fs0 writes. The sweep must drop the freed block from fs1's
+  // committed-page cache, or fs1 serves the old page for the block's new content.
+  FullCluster cluster(2, /*num_blocks=*/256);
+  FileServer& writer = cluster.fs(0);
+  FileServer& reader = cluster.fs(1);
+  GarbageCollector gc({&writer, &reader}, GcOptions{.keep_versions = 1});
+  const auto commit_write = [&](const Capability& file, std::string_view value) {
+    auto v = writer.CreateVersion(file, kNullPort, false);
+    ASSERT_TRUE(v.ok()) << v.status();
+    ASSERT_TRUE(writer.WritePage(*v, PagePath({0}), Bytes(value)).ok());
+    ASSERT_TRUE(writer.Commit(*v).ok());
+  };
+  const auto leaf_block = [&](const Capability& file) {
+    auto current = writer.GetCurrentVersion(file);
+    auto root = writer.page_store()->ReadPage(static_cast<BlockNo>(current->object));
+    return root->refs.at(0).block;
+  };
+
+  auto old_file = writer.CreateFile();
+  {
+    auto v = writer.CreateVersion(*old_file, kNullPort, false);
+    ASSERT_TRUE(writer.InsertRef(*v, PagePath::Root(), 0).ok());
+    ASSERT_TRUE(writer.WritePage(*v, PagePath({0}), Bytes("old page")).ok());
+    ASSERT_TRUE(writer.Commit(*v).ok());
+  }
+  const BlockNo swept = leaf_block(*old_file);
+  auto old_version = reader.GetCurrentVersion(*old_file);
+  ASSERT_EQ(reader.ReadPage(*old_version, PagePath({0}), false)->data, Bytes("old page"));
+  commit_write(*old_file, "superseding page");
+  ASSERT_TRUE(gc.RunCycle().ok());  // prunes the old version and sweeps its leaf
+
+  auto new_file = writer.CreateFile();
+  {
+    auto v = writer.CreateVersion(*new_file, kNullPort, false);
+    ASSERT_TRUE(writer.InsertRef(*v, PagePath::Root(), 0).ok());
+    ASSERT_TRUE(writer.WritePage(*v, PagePath({0}), Bytes("new page 0")).ok());
+    ASSERT_TRUE(writer.Commit(*v).ok());
+  }
+  std::string latest = "new page 0";
+  for (int i = 1; i < 2000 && leaf_block(*new_file) != swept; ++i) {
+    latest = "new page " + std::to_string(i);
+    commit_write(*new_file, latest);
+    ASSERT_TRUE(gc.RunCycle().ok());
+  }
+  ASSERT_EQ(leaf_block(*new_file), swept) << "the swept block was never reused";
+  auto current = reader.GetCurrentVersion(*new_file);
+  ASSERT_TRUE(current.ok());
+  auto read = reader.ReadPage(*current, PagePath({0}), false);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read->data, Bytes(latest));
+}
 
 TEST(ReshareTest, CopiedButUnwrittenPagesResharedWithBase) {
   FileServerOptions with;

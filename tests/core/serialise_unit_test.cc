@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "src/block/block_store.h"
 #include "src/core/page_store.h"
 #include "src/core/serialise.h"
@@ -43,9 +45,23 @@ class SerialiserTest : public ::testing::Test {
     return page;
   }
 
+  // V.b's private pages live in memory (the file server's private page table); this
+  // fixture loads each from the store on first use and merges it in `private_`.
   Serialiser MakeSerialiser() {
-    return Serialiser(&pages_, [this](BlockNo bno) { return pages_.ReadPage(bno); });
+    return Serialiser(
+        [this](BlockNo bno) -> Result<Page*> {
+          auto it = private_.find(bno);
+          if (it == private_.end()) {
+            ASSIGN_OR_RETURN(Page page, pages_.ReadPage(bno));
+            it = private_.emplace(bno, std::move(page)).first;
+          }
+          return &it->second;
+        },
+        [this](BlockNo bno) { return pages_.ReadPage(bno); });
   }
+
+  // V.b's page at `bno` after the merge.
+  const Page& Private(BlockNo bno) { return private_.at(bno); }
 
   // Runs TestAndMerge with persisted b root; returns (ok, merged root).
   std::pair<Result<bool>, Page> Run(Page b_root, const Page& c_root) {
@@ -58,6 +74,7 @@ class SerialiserTest : public ::testing::Test {
 
   InMemoryBlockStore blocks_;
   PageStore pages_;
+  std::unordered_map<BlockNo, Page> private_;
 };
 
 constexpr uint8_t kC = RefFlag::kCopied;
@@ -210,10 +227,9 @@ TEST_F(SerialiserTest, DeepDisjointMergeRewritesInteriorInPlace) {
   ASSERT_TRUE(ok.ok());
   ASSERT_TRUE(*ok);
   // b's interior page was merged in place: slot 1 now grafts c's leaf.
-  auto merged_mid = pages_.ReadPage(merged.refs[0].block);
-  ASSERT_TRUE(merged_mid.ok());
-  EXPECT_EQ(merged_mid->refs[0].block, b_leaf);
-  EXPECT_EQ(merged_mid->refs[1].block, c_leaf);
+  const Page& merged_mid = Private(merged.refs[0].block);
+  EXPECT_EQ(merged_mid.refs[0].block, b_leaf);
+  EXPECT_EQ(merged_mid.refs[1].block, c_leaf);
 }
 
 TEST_F(SerialiserTest, MergedTreeKeepsOnlyOwnFlags) {
@@ -237,7 +253,7 @@ TEST_F(SerialiserTest, MergedTreeKeepsOnlyOwnFlags) {
   EXPECT_FALSE(merged.refs[0].written());
   EXPECT_TRUE(FlagsValid(merged.refs[0].flags));
   // And c's mid-page data was adopted (b never wrote that page's data).
-  EXPECT_EQ(pages_.ReadPage(merged.refs[0].block)->data, Bytes("c mid data"));
+  EXPECT_EQ(Private(merged.refs[0].block).data, Bytes("c mid data"));
 }
 
 TEST_F(SerialiserTest, UntouchedSidesNeverVisited) {
