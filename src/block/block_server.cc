@@ -19,10 +19,7 @@
 namespace afs {
 namespace {
 
-// WriteLocalBatch's fan-out: a device write slower than this on average waits for a flush,
-// and concurrent writes can share it. With the caller, up to 8 writes of a batch are in
-// flight at once.
-constexpr uint64_t kSlowWriteNs = 100'000;
+// WriteLocalBatch's helpers: with the caller, up to 8 writes of a batch are in flight.
 constexpr size_t kBatchWriterHelpers = 7;
 
 struct BlockHeader {
@@ -129,9 +126,95 @@ size_t CompanionEntryBytes(size_t payload_size) { return 25 + payload_size; }
 
 }  // namespace
 
+// A fixed set of helper threads that run one batch's entries alongside the calling
+// thread. Batches from concurrent callers queue and share the helpers; each caller also
+// works on its own batch, so a batch never waits for an idle helper.
+class BlockServer::BatchWriters {
+ public:
+  explicit BatchWriters(size_t helpers) {
+    for (size_t t = 0; t < helpers; ++t) {
+      threads_.emplace_back([this] { Loop(); });
+    }
+  }
+  BatchWriters(const BatchWriters&) = delete;
+  BatchWriters& operator=(const BatchWriters&) = delete;
+
+  ~BatchWriters() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    work_cv_.notify_all();
+    for (std::thread& thread : threads_) {
+      thread.join();
+    }
+  }
+
+  // Runs fn(i) for every i < n, on this thread and the helpers; returns when all are done.
+  void Run(size_t n, const std::function<void(size_t)>& fn) {
+    if (n <= 1) {
+      for (size_t i = 0; i < n; ++i) {
+        fn(i);
+      }
+      return;
+    }
+    Job job{&fn, n};
+    std::unique_lock<std::mutex> lock(mu_);
+    jobs_.push_back(&job);
+    work_cv_.notify_all();
+    while (job.next < job.n) {
+      RunOne(&job, lock);
+    }
+    done_cv_.wait(lock, [&] { return job.done == job.n; });
+  }
+
+ private:
+  struct Job {
+    const std::function<void(size_t)>* fn;
+    size_t n;
+    size_t next = 0;  // first unclaimed entry
+    size_t done = 0;  // entries finished
+  };
+
+  // Claims and runs the next entry of `job`; the claimer of the last entry dequeues it.
+  void RunOne(Job* job, std::unique_lock<std::mutex>& lock) {
+    const size_t i = job->next++;
+    if (job->next == job->n) {
+      jobs_.erase(std::find(jobs_.begin(), jobs_.end(), job));
+    }
+    lock.unlock();
+    (*job->fn)(i);
+    lock.lock();
+    if (++job->done == job->n) {
+      done_cv_.notify_all();
+    }
+  }
+
+  void Loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      work_cv_.wait(lock, [&] { return stop_ || !jobs_.empty(); });
+      if (stop_) {
+        return;
+      }
+      RunOne(jobs_.front(), lock);
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable work_cv_;
+  std::condition_variable done_cv_;
+  std::deque<Job*> jobs_;
+  bool stop_ = false;
+  std::vector<std::thread> threads_;  // last: the helpers use everything above
+};
+
 BlockServer::BlockServer(Network* network, std::string name, BlockDevice* device,
                          uint64_t secret_seed, uint32_t num_shards, int num_workers)
     : Service(network, std::move(name), num_workers),
+      writers_(device->geometry().writes_share_flush
+                   ? std::make_unique<BatchWriters>(kBatchWriterHelpers)
+                   : nullptr),
       device_(device),
       signer_(0, Mix64(secret_seed)),
       rng_(secret_seed ^ 0xb10c),
@@ -139,6 +222,8 @@ BlockServer::BlockServer(Network* network, std::string name, BlockDevice* device
       shard_mask_(static_cast<uint32_t>(shards_.size()) - 1) {
   blocks_.resize(device->geometry().num_blocks);
 }
+
+BlockServer::~BlockServer() = default;
 
 void BlockServer::SetCompanion(Port companion) { companion_.store(companion); }
 
@@ -214,13 +299,7 @@ Status BlockServer::WriteLocal(BlockNo bno, uint64_t account, uint64_t seq,
   h.len = static_cast<uint32_t>(payload.size());
   h.crc = Crc32c(payload.data(), payload.size());
   EncodeBlock(raw, h, payload);
-  const auto start = std::chrono::steady_clock::now();
   RETURN_IF_ERROR(device_->Write(bno, raw));
-  const auto ns = static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                            std::chrono::steady_clock::now() - start)
-                                            .count());
-  const uint64_t avg = write_ns_avg_.load(std::memory_order_relaxed);
-  write_ns_avg_.store(avg - avg / 8 + ns / 8, std::memory_order_relaxed);
   Shard& shard = ShardFor(bno);
   std::lock_guard<std::mutex> lock(shard.mu);
   blocks_[bno].account = account;
@@ -229,117 +308,19 @@ Status BlockServer::WriteLocal(BlockNo bno, uint64_t account, uint64_t seq,
   return OkStatus();
 }
 
-// A fixed set of helper threads that run one batch's entries alongside the calling
-// thread. Batches from concurrent callers queue and share the helpers; each caller also
-// works on its own batch, so a batch never waits for an idle helper.
-class BatchWriters {
- public:
-  explicit BatchWriters(size_t helpers) {
-    for (size_t t = 0; t < helpers; ++t) {
-      threads_.emplace_back([this] { Loop(); });
-    }
-  }
-  BatchWriters(const BatchWriters&) = delete;
-  BatchWriters& operator=(const BatchWriters&) = delete;
-
-  ~BatchWriters() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    work_cv_.notify_all();
-    for (std::thread& thread : threads_) {
-      thread.join();
-    }
-  }
-
-  // Runs fn(i) for every i < n, on this thread and the helpers; returns when all are done.
-  void Run(size_t n, const std::function<void(size_t)>& fn) {
-    Job job{&fn, n};
-    std::unique_lock<std::mutex> lock(mu_);
-    jobs_.push_back(&job);
-    work_cv_.notify_all();
-    while (job.next < job.n) {
-      RunOne(&job, lock);
-    }
-    done_cv_.wait(lock, [&] { return job.done == job.n; });
-  }
-
- private:
-  struct Job {
-    const std::function<void(size_t)>* fn;
-    size_t n;
-    size_t next = 0;  // first unclaimed entry
-    size_t done = 0;  // entries finished
-  };
-
-  // Claims and runs the next entry of `job`; the claimer of the last entry dequeues it.
-  void RunOne(Job* job, std::unique_lock<std::mutex>& lock) {
-    const size_t i = job->next++;
-    if (job->next == job->n) {
-      jobs_.erase(std::find(jobs_.begin(), jobs_.end(), job));
-    }
-    lock.unlock();
-    (*job->fn)(i);
-    lock.lock();
-    if (++job->done == job->n) {
-      done_cv_.notify_all();
-    }
-  }
-
-  void Loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      work_cv_.wait(lock, [&] { return stop_ || !jobs_.empty(); });
-      if (stop_) {
-        return;
-      }
-      RunOne(jobs_.front(), lock);
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::deque<Job*> jobs_;
-  bool stop_ = false;
-  std::vector<std::thread> threads_;  // last: the helpers use everything above
-};
-
-namespace {
-
-// One set of batch writers for every block server in the process: the helpers only keep
-// device writes in flight, and a set per server would multiply idle threads (and their
-// allocator arenas) by the number of servers. The last server holding it joins them.
-std::shared_ptr<BatchWriters> AcquireBatchWriters() {
-  static std::mutex mu;
-  static std::weak_ptr<BatchWriters> shared;
-  std::lock_guard<std::mutex> lock(mu);
-  std::shared_ptr<BatchWriters> writers = shared.lock();
-  if (writers == nullptr) {
-    writers = std::make_shared<BatchWriters>(kBatchWriterHelpers);
-    shared = writers;
-  }
-  return writers;
-}
-
-}  // namespace
-
 Status BlockServer::WriteLocalBatch(std::span<const PendingWrite> writes, char* written) {
   std::vector<Status> status(writes.size());
   const std::function<void(size_t)> write_one = [&](size_t i) {
     status[i] = WriteLocal(writes[i].bno, writes[i].account, writes[i].seq, writes[i].payload);
     written[i] = status[i].ok() ? 1 : 0;
   };
-  if (writes.size() <= 1 || write_ns_avg_.load(std::memory_order_relaxed) < kSlowWriteNs) {
-    for (size_t i = 0; i < writes.size(); ++i) {
+  if (writers_ != nullptr) {
+    writers_->Run(writes.size(), write_one);
+  } else {
+    for (size_t i = 0; i < writes.size() && (i == 0 || status[i - 1].ok()); ++i) {
       write_one(i);
-      RETURN_IF_ERROR(status[i]);
     }
-    return OkStatus();
   }
-  std::call_once(writers_once_, [this] { writers_ = AcquireBatchWriters(); });
-  writers_->Run(writes.size(), write_one);
   for (const Status& st : status) {
     RETURN_IF_ERROR(st);
   }

@@ -42,8 +42,6 @@ namespace afs {
 inline constexpr uint32_t kBlockHeaderBytes = 28;
 inline constexpr uint32_t kBlockMagic = 0xafb10c05;
 
-class BatchWriters;
-
 class BlockServer : public Service {
  public:
   // `device` must outlive the server. `secret_seed` keys the capability signer.
@@ -51,6 +49,7 @@ class BlockServer : public Service {
   // `num_workers` sizes the Service worker pool (bench_batch sweeps both).
   BlockServer(Network* network, std::string name, BlockDevice* device, uint64_t secret_seed,
               uint32_t num_shards = 16, int num_workers = 4);
+  ~BlockServer() override;
 
   // Pair this server with its companion. Both directions must be configured. Until paired
   // (or when `companion == kNullPort`), the server runs standalone and writes only locally.
@@ -147,13 +146,13 @@ class BlockServer : public Service {
   Status StableWriteBatch(std::vector<PendingWrite> writes);
   Status WriteLocal(BlockNo bno, uint64_t account, uint64_t seq,
                     std::span<const uint8_t> payload);
-  // Write one chunk's entries to the local device; written[i] is set for each entry
-  // stored, and the first failure (in entry order) is returned. When device writes wait
-  // for a flush (a journaled FileDisk: the recent mean exceeds kSlowWriteNs), the entries
-  // are written concurrently by this thread and the process's batch writers, so the
-  // journal's group commit folds the chunk into one or two fsyncs instead of one per
-  // block. Otherwise they are written in order on this thread. Each block write stays
-  // atomic; the chunk is acknowledged only after every entry is stored.
+  // Write one chunk's entries (each block at most once) to the local device; written[i]
+  // is set for each entry stored, and the first failure (in entry order) is returned. On
+  // a device whose writes share a flush (DiskGeometry::writes_share_flush: a journaled
+  // FileDisk) the entries are written concurrently by this thread and the server's batch
+  // writers, so the journal's group commit folds a chunk into one or two fsyncs instead
+  // of one per block; otherwise in order on this thread. Each block write stays atomic;
+  // the chunk is acknowledged only after every entry is stored.
   Status WriteLocalBatch(std::span<const PendingWrite> writes, char* written);
   // Reads the payload; on CRC failure consults the companion and repairs the local copy.
   Result<std::vector<uint8_t>> ReadPayload(BlockNo bno, uint64_t account,
@@ -163,6 +162,11 @@ class BlockServer : public Service {
   void MarkInFlight(std::span<const PendingWrite> writes, int delta);
   void RebuildAllocationFromDisk();
   void ReplayIntentionsFromCompanion();
+
+  // WriteLocalBatch's helper threads, on devices whose writes share a flush (first, so
+  // the last member destroyed).
+  class BatchWriters;
+  std::unique_ptr<BatchWriters> writers_;
 
   BlockDevice* device_;
   CapabilitySigner signer_;
@@ -187,11 +191,6 @@ class BlockServer : public Service {
   std::atomic<Port> companion_{kNullPort};
   std::atomic<uint64_t> collisions_{0};
   std::atomic<uint64_t> degraded_writes_{0};
-  // Moving average of device write latency (ns); WriteLocalBatch's fan-out switch.
-  std::atomic<uint64_t> write_ns_avg_{0};
-  // The process's batch writers, acquired on this server's first fan-out.
-  std::once_flag writers_once_;
-  std::shared_ptr<BatchWriters> writers_;
 };
 
 }  // namespace afs

@@ -256,6 +256,7 @@ Result<Page> FileServer::LoadPageUncached(BlockNo head, std::vector<BlockNo>* ta
 }
 
 Result<Page> FileServer::LoadPage(BlockNo head) {
+  uint64_t sweeps = 0;
   if (options_.cache_committed_pages) {
     std::lock_guard<std::mutex> lock(cache_mu_);
     auto it = committed_cache_.find(head);
@@ -267,12 +268,13 @@ Result<Page> FileServer::LoadPage(BlockNo head) {
     }
     cache_misses_->Inc();
     obs::Trace(obs::TraceEvent::kCacheMiss, head);
+    sweeps = cache_sweeps_;
   }
   ASSIGN_OR_RETURN(Page page, pages_.ReadPage(head));
   // Version pages are mutable in place (commit reference, locks) and must never be served
   // stale; only plain pages are cached.
   if (options_.cache_committed_pages && page.kind == PageKind::kPlain) {
-    CacheCommittedPage(head, page);
+    CacheCommittedPage(head, page, sweeps);
   }
   return page;
 }
@@ -281,8 +283,10 @@ Result<std::vector<Page>> FileServer::LoadPagesCommitted(std::span<const BlockNo
   std::vector<Page> out(heads.size());
   std::vector<size_t> miss_index;
   std::vector<BlockNo> miss_heads;
+  uint64_t sweeps = 0;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
+    sweeps = cache_sweeps_;
     for (size_t i = 0; i < heads.size(); ++i) {
       auto it = options_.cache_committed_pages ? committed_cache_.find(heads[i])
                                                : committed_cache_.end();
@@ -306,16 +310,17 @@ Result<std::vector<Page>> FileServer::LoadPagesCommitted(std::span<const BlockNo
   ASSIGN_OR_RETURN(std::vector<Page> fetched, pages_.ReadPages(miss_heads));
   for (size_t j = 0; j < miss_index.size(); ++j) {
     if (options_.cache_committed_pages && fetched[j].kind == PageKind::kPlain) {
-      CacheCommittedPage(miss_heads[j], fetched[j]);
+      CacheCommittedPage(miss_heads[j], fetched[j], sweeps);
     }
     out[miss_index[j]] = std::move(fetched[j]);
   }
   return out;
 }
 
-void FileServer::CacheCommittedPage(BlockNo head, const Page& page) {
+void FileServer::CacheCommittedPage(BlockNo head, const Page& page,
+                                    std::optional<uint64_t> sweeps_seen) {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  if (committed_cache_.count(head) != 0) {
+  if (committed_cache_.count(head) != 0 || (sweeps_seen && *sweeps_seen != cache_sweeps_)) {
     return;
   }
   if (committed_cache_.size() >= options_.committed_cache_capacity && !cache_lru_.empty()) {
@@ -326,6 +331,14 @@ void FileServer::CacheCommittedPage(BlockNo head, const Page& page) {
   }
   cache_lru_.emplace_front(head, page);
   committed_cache_.emplace(head, cache_lru_.begin());
+}
+
+void FileServer::ForgetFreedPages(std::span<const BlockNo> heads) {
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    ++cache_sweeps_;
+  }
+  UncachePages(heads);
 }
 
 void FileServer::UncachePages(std::span<const BlockNo> heads) {
@@ -675,7 +688,7 @@ Status FileServer::WriteLockedBaseAndHead(BlockNo base_head, const Page& base,
     (void)pages_.blocks()->FreeMulti(tail);
     return st;
   }
-  version->head_tail = std::move(tail);
+  version->linked_blocks = std::move(tail);
   return OkStatus();
 }
 

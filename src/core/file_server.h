@@ -34,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -217,9 +218,10 @@ class FileServer : public Service {
   const VersionIndex& version_index() const { return index_; }
   // GC pruning hook: drop index records for pruned versions of `file_id`.
   void OnVersionsPruned(uint64_t file_id, const std::vector<BlockNo>& pruned_heads);
-  // GC sweep hook: drop swept blocks from the committed-page cache. A freed number is
-  // handed out again and must not serve the old page.
-  void UncachePages(std::span<const BlockNo> heads);
+  // GC sweep hook, called after `heads` were freed: drop them from the committed-page
+  // cache. A freed number is handed out again and must not serve the old page, so a load
+  // that missed the cache before this call does not insert what it read.
+  void ForgetFreedPages(std::span<const BlockNo> heads);
 
  protected:
   Result<Message> Handle(const Message& request) override;
@@ -237,10 +239,8 @@ class FileServer : public Service {
     // Serialises operations on one version; ops on different versions run in parallel.
     std::shared_ptr<std::mutex> op_mu = std::make_shared<std::mutex>();
     // The version page. Its block was written once, at CreateVersion, as a share of the
-    // base (what the GC and fsck see); the commit flush writes it again. `head_tail` is
-    // the on-disk head's tail chain.
+    // base (what the GC and fsck see); the commit flush writes it again.
     Page root;
-    std::vector<BlockNo> head_tail;
     // Private page table: every page below the head that this update copied or created,
     // keyed by a provisional number (>= kFirstProvisionalBlock), plus the roots of
     // sub-files created in this update under their real heads. A copied reference in this
@@ -248,12 +248,12 @@ class FileServer : public Service {
     std::unordered_map<BlockNo, Page> pages;
     BlockNo next_provisional = kFirstProvisionalBlock;
     // Page heads this version owns outside any committed tree: its head and the roots of
-    // the sub-files it created. Abort frees exactly these, plus `flushed_blocks`.
+    // the sub-files it created. Abort frees exactly these, plus `linked_blocks`.
     std::vector<BlockNo> allocated_blocks;
-    // Blocks of the last flush's fresh chains. A flip lost after the flush leaves them
-    // linked from the on-disk head only; the next flush frees them once the head is
-    // rewritten.
-    std::vector<BlockNo> flushed_blocks;
+    // Blocks the on-disk head links beyond itself: its tail chain and the last flush's
+    // fresh chains (a flip lost after a flush leaves them linked from the head only). The
+    // next flush frees them once it has rewritten the head.
+    std::vector<BlockNo> linked_blocks;
     // Sub-file version pages copied during this super-file update: old head -> new head
     // (provisional until the commit flush).
     std::vector<std::pair<BlockNo, BlockNo>> copied_subfiles;
@@ -309,7 +309,12 @@ class FileServer : public Service {
   // Vectored LoadPage: serves what it can from the committed-page cache and fetches the
   // misses with one batched PageStore read. result[i] corresponds to heads[i].
   Result<std::vector<Page>> LoadPagesCommitted(std::span<const BlockNo> heads);
-  void CacheCommittedPage(BlockNo head, const Page& page);
+  // Inserts a committed plain page. A load passes the sweep count it saw at its miss; the
+  // page is dropped if a sweep freed blocks since, as it may be a freed block's old page.
+  void CacheCommittedPage(BlockNo head, const Page& page,
+                          std::optional<uint64_t> sweeps_seen = std::nullopt);
+  // Drops pages that are still valid but left the current version (no sweep counted).
+  void UncachePages(std::span<const BlockNo> heads);
 
   // --- tree operations ---
   struct WalkStep {
@@ -471,7 +476,7 @@ class FileServer : public Service {
     BlockNo head = kNilRef;
     BlockNo base_head = kNilRef;
     std::vector<BlockNo> allocated_blocks;  // page heads (VersionInfo::allocated_blocks)
-    std::vector<BlockNo> flushed_blocks;    // the flush's fresh chains
+    std::vector<BlockNo> linked_blocks;     // VersionInfo::linked_blocks
     bool know_allocations = false;  // false after restart: free by tree walk instead
     // Carried from the VersionInfo so a decide-commit can index the version with its
     // signature. Recovered entries set valid = false (the signature is unrecoverable).
@@ -505,6 +510,7 @@ class FileServer : public Service {
   mutable std::mutex cache_mu_;
   std::list<std::pair<BlockNo, Page>> cache_lru_;
   std::unordered_map<BlockNo, std::list<std::pair<BlockNo, Page>>::iterator> committed_cache_;
+  uint64_t cache_sweeps_ = 0;  // ForgetFreedPages calls; a load's insert checks it
 
   // Commit-outcome and cache metrics (Service's registry). Resolved once at construction;
   // the commit hot path touches them with relaxed atomic increments only — no mutex.

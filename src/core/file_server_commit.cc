@@ -458,31 +458,37 @@ Status FileServer::FlushTrees(const std::vector<PendingCommit*>& live) {
     return written;
   }
 
+  // The heads now link this flush's chains in place of the previous ones: record that at
+  // once, so an abort frees exactly what the on-disk heads link.
+  std::vector<BlockNo> stale;
   next = 0;
   for (size_t m = 0; m < live.size(); ++m) {
     VersionInfo* info = live[m]->info;
-    // Sub-file roots created in this update are named by the file table, so they are
-    // overwritten in place, after the pages they now link.
-    for (const auto& [bno, page] : sub_roots[m]) {
-      RETURN_IF_ERROR(pages_.OverwritePage(bno, page));
+    stale.insert(stale.end(), info->linked_blocks.begin(), info->linked_blocks.end());
+    size_t linked = 0;
+    for (size_t n : lengths[m]) {
+      linked += n;
     }
-    // The head no longer links its previous tail or the previous flush's chains.
-    std::vector<BlockNo> stale = std::move(info->head_tail);
-    stale.insert(stale.end(), info->flushed_blocks.begin(), info->flushed_blocks.end());
-    if (!stale.empty()) {
-      (void)pages_.blocks()->FreeMulti(stale);
-    }
-    next += root_tails[m].size();
-    info->head_tail = std::move(root_tails[m]);
-    size_t fresh_blocks = 0;
-    for (size_t i = 1; i < lengths[m].size(); ++i) {
-      fresh_blocks += lengths[m][i];
-    }
-    info->flushed_blocks.assign(blocks.begin() + static_cast<ptrdiff_t>(next),
-                                blocks.begin() + static_cast<ptrdiff_t>(next + fresh_blocks));
-    next += fresh_blocks;
+    linked -= 1;  // the head itself
+    info->linked_blocks.assign(blocks.begin() + static_cast<ptrdiff_t>(next),
+                               blocks.begin() + static_cast<ptrdiff_t>(next + linked));
+    next += linked;
   }
-  return OkStatus();
+  // Sub-file roots created in this update are named by the file table, so they are
+  // overwritten in place, after the pages they now link.
+  Status st = OkStatus();
+  for (size_t m = 0; m < live.size() && st.ok(); ++m) {
+    for (const auto& [bno, page] : sub_roots[m]) {
+      st = pages_.OverwritePage(bno, page);
+      if (!st.ok()) {
+        break;
+      }
+    }
+  }
+  if (!stale.empty()) {
+    (void)pages_.blocks()->FreeMulti(stale);
+  }
+  return st;
 }
 
 void FileServer::FinishCommit(PendingCommit* req) {
@@ -691,8 +697,8 @@ Status FileServer::AbortLocked(VersionInfo* info) {
   for (BlockNo bno : info->allocated_blocks) {
     (void)pages_.FreePage(bno);
   }
-  if (!info->flushed_blocks.empty()) {
-    (void)pages_.blocks()->FreeMulti(info->flushed_blocks);
+  if (!info->linked_blocks.empty()) {
+    (void)pages_.blocks()->FreeMulti(info->linked_blocks);
   }
 
   BlockNo head = info->head;

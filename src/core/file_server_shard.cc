@@ -64,7 +64,7 @@ Result<BlockNo> FileServer::Prepare(const Capability& version, uint64_t txn_id) 
   rec.head = head;
   rec.base_head = info->root.base_ref;
   rec.allocated_blocks = std::move(info->allocated_blocks);
-  rec.flushed_blocks = std::move(info->flushed_blocks);
+  rec.linked_blocks = std::move(info->linked_blocks);
   rec.know_allocations = true;
   rec.sig = std::move(info->sig);
   prepared_.emplace(txn_id, std::move(rec));
@@ -140,8 +140,8 @@ Status FileServer::Decide(uint64_t txn_id, bool commit) {
     for (BlockNo bno : rec.allocated_blocks) {
       (void)pages_.FreePage(bno);
     }
-    if (!rec.flushed_blocks.empty()) {
-      (void)pages_.blocks()->FreeMulti(rec.flushed_blocks);
+    if (!rec.linked_blocks.empty()) {
+      (void)pages_.blocks()->FreeMulti(rec.linked_blocks);
     }
   } else if (unlinked) {
     // Recovered after a restart: the allocation list died with the process. The staged

@@ -213,11 +213,6 @@ Status GarbageCollector::RunCycle() {
       to_free.push_back(bno);
     }
   }
-  // A swept number is handed out again: no server may keep serving its old page from the
-  // committed-page cache.
-  for (FileServer* server : servers_) {
-    server->UncachePages(to_free);
-  }
   uint64_t swept = 0;
   if (!to_free.empty() && BatchingEnabled() && pages->blocks()->FreeMulti(to_free).ok()) {
     swept = to_free.size();
@@ -228,6 +223,12 @@ Status GarbageCollector::RunCycle() {
         ++swept;
       }
     }
+  }
+  // A swept number is handed out again: no server may keep serving its old page from the
+  // committed-page cache. After the free, so a load that read the old page before it
+  // cannot insert it afterwards.
+  for (FileServer* server : servers_) {
+    server->ForgetFreedPages(to_free);
   }
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.cycles;

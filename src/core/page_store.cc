@@ -125,7 +125,11 @@ Status PageStore::OverwritePage(BlockNo head, const Page& page,
   // point of the overwrite.
   ASSIGN_OR_RETURN(BlockNo next, WriteTailChain(payload, chunk_cap, num_chunks));
   RETURN_IF_ERROR(blocks_->Write(head, EncodeChainBlock(next, ChunkAt(payload, chunk_cap, 0))));
-  return blocks_->FreeMulti(*old_tail);
+  // The overwrite is done once the head is written. Failing to free the old tail leaves
+  // garbage for the collector; it must not report the overwrite (a commit flip, say) as
+  // failed after it took effect.
+  (void)blocks_->FreeMulti(*old_tail);
+  return OkStatus();
 }
 
 Result<size_t> PageStore::ChainLength(const Page& page) const {

@@ -28,6 +28,10 @@ inline constexpr BlockNo kMaxBlockNo = (1u << 28) - 1;
 struct DiskGeometry {
   uint32_t block_size = 0;
   uint32_t num_blocks = 0;
+  // Each write waits for a flush that concurrent writes share (a journal's group commit),
+  // so a writer of many blocks gains by keeping them in flight together. Part of the
+  // geometry so that it passes through device decorators unchanged.
+  bool writes_share_flush = false;
 };
 
 // The one simulated-latency knob shared by every storage layer (MemDisk, WriteOnceDisk,

@@ -108,7 +108,7 @@ Status FileDisk::Mount() {
 
   if (block_file_->size() == 0) {
     // Fresh disk: geometry from the options, epoch 1.
-    geometry_ = {options_.block_size, options_.num_blocks};
+    geometry_ = {options_.block_size, options_.num_blocks, /*writes_share_flush=*/true};
     epoch_ = 1;
     superblock_seqno_ = 1;
     checkpoint_lsn_ = 0;
@@ -132,7 +132,7 @@ Status FileDisk::Mount() {
     if (!found) {
       return CorruptError("no valid superblock in " + path_);
     }
-    geometry_ = {best.block_size, best.num_blocks};
+    geometry_ = {best.block_size, best.num_blocks, /*writes_share_flush=*/true};
     checkpoint_lsn_ = best.checkpoint_lsn;
     epoch_ = best.epoch + 1;
     superblock_seqno_ = best.seqno + 1;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "src/core/gc.h"
@@ -285,6 +287,126 @@ TEST(GcCacheTest, SweptBlockReusedAsNewPageIsNotServedFromCache) {
   }
   ASSERT_EQ(leaf_block(*new_file), swept) << "the swept block was never reused";
   auto current = reader.GetCurrentVersion(*new_file);
+  ASSERT_TRUE(current.ok());
+  auto read = reader.ReadPage(*current, PagePath({0}), false);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read->data, Bytes(latest));
+}
+
+// Forwards to `inner`. Once armed, a Read of the armed block fetches its content and then
+// waits for Open(): a load is held between its read and its cache insert.
+class GatedStore : public BlockStore {
+ public:
+  explicit GatedStore(BlockStore* inner) : inner_(inner) {}
+
+  void Arm(BlockNo bno) {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = bno;
+  }
+  void WaitHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return held_; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+  Result<std::vector<uint8_t>> Read(BlockNo bno) override {
+    auto data = inner_->Read(bno);
+    std::unique_lock<std::mutex> lock(mu_);
+    if (armed_ == bno) {
+      armed_ = kNilRef;
+      held_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return open_; });
+    }
+    return data;
+  }
+  Result<BlockNo> AllocWrite(std::span<const uint8_t> payload) override {
+    return inner_->AllocWrite(payload);
+  }
+  Status Write(BlockNo bno, std::span<const uint8_t> payload) override {
+    return inner_->Write(bno, payload);
+  }
+  Status Free(BlockNo bno) override { return inner_->Free(bno); }
+  Result<std::vector<BlockReadResult>> ReadMulti(std::span<const BlockNo> bnos) override {
+    return inner_->ReadMulti(bnos);
+  }
+  Status WriteBatch(std::span<const BlockWrite> writes) override {
+    return inner_->WriteBatch(writes);
+  }
+  Status FreeMulti(std::span<const BlockNo> bnos) override { return inner_->FreeMulti(bnos); }
+  Result<std::vector<BlockNo>> AllocMulti(uint32_t n) override { return inner_->AllocMulti(n); }
+  Status Lock(BlockNo bno, Port owner) override { return inner_->Lock(bno, owner); }
+  Status Unlock(BlockNo bno, Port owner) override { return inner_->Unlock(bno, owner); }
+  Result<std::vector<BlockNo>> ListBlocks() override { return inner_->ListBlocks(); }
+  uint32_t payload_capacity() const override { return inner_->payload_capacity(); }
+
+ private:
+  BlockStore* inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  BlockNo armed_ = kNilRef;
+  bool held_ = false;
+  bool open_ = false;
+};
+
+TEST(GcCacheTest, LoadRacingTheSweepDoesNotCacheTheFreedPage) {
+  // A reader of a pruned snapshot reads a block, the sweep frees it, and only then does
+  // the reader's load try to cache what it read. The insert must be dropped, or the old
+  // page is served once the number is reused.
+  FullCluster cluster(1, /*num_blocks=*/256);
+  FileServer& writer = cluster.fs(0);
+  std::unique_ptr<StableStore> reader_stable = cluster.MakeStableStore();
+  GatedStore gated(reader_stable.get());
+  FileServer reader(&cluster.net(), "fs-reader", &gated, FileServerOptions{});
+  reader.Start();
+  ASSERT_TRUE(reader.AttachStore().ok());
+  GarbageCollector gc({&writer, &reader}, GcOptions{.keep_versions = 1});
+  const auto commit_write = [&](const Capability& file, std::string_view value) {
+    auto v = writer.CreateVersion(file, kNullPort, false);
+    ASSERT_TRUE(v.ok()) << v.status();
+    ASSERT_TRUE(writer.WritePage(*v, PagePath({0}), Bytes(value)).ok());
+    ASSERT_TRUE(writer.Commit(*v).ok());
+  };
+  const auto leaf_block = [&](const Capability& file) {
+    auto current = writer.GetCurrentVersion(file);
+    auto root = writer.page_store()->ReadPage(static_cast<BlockNo>(current->object));
+    return root->refs.at(0).block;
+  };
+  const auto create_file = [&](std::string_view value) {
+    auto file = writer.CreateFile();
+    auto v = writer.CreateVersion(*file, kNullPort, false);
+    EXPECT_TRUE(writer.InsertRef(*v, PagePath::Root(), 0).ok());
+    EXPECT_TRUE(writer.WritePage(*v, PagePath({0}), Bytes(value)).ok());
+    EXPECT_TRUE(writer.Commit(*v).ok());
+    return *file;
+  };
+
+  const Capability old_file = create_file("old page");
+  const BlockNo swept = leaf_block(old_file);
+  auto old_version = reader.GetCurrentVersion(old_file);
+  ASSERT_TRUE(old_version.ok());
+  commit_write(old_file, "superseding page");
+
+  gated.Arm(swept);
+  std::thread load([&] { (void)reader.ReadPage(*old_version, PagePath({0}), false); });
+  gated.WaitHeld();
+  ASSERT_TRUE(gc.RunCycle().ok());  // prunes the old version and sweeps its leaf
+  gated.Open();
+  load.join();
+
+  const Capability new_file = create_file("new page 0");
+  std::string latest = "new page 0";
+  for (int i = 1; i < 2000 && leaf_block(new_file) != swept; ++i) {
+    latest = "new page " + std::to_string(i);
+    commit_write(new_file, latest);
+    ASSERT_TRUE(gc.RunCycle().ok());
+  }
+  ASSERT_EQ(leaf_block(new_file), swept) << "the swept block was never reused";
+  auto current = reader.GetCurrentVersion(new_file);
   ASSERT_TRUE(current.ok());
   auto read = reader.ReadPage(*current, PagePath({0}), false);
   ASSERT_TRUE(read.ok()) << read.status();

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <string>
 
@@ -85,6 +86,34 @@ TEST(StoreIntegrationTest, StablePairRoundTripsOverFileDisks) {
   // The companion-first discipline: both FileDisks saw the write.
   EXPECT_GE(run.disk_a->writes(), 1u);
   EXPECT_GE(run.disk_b->writes(), 1u);
+}
+
+TEST(StoreIntegrationTest, BatchSharesJournalFsyncs) {
+  // A FileDisk's writes wait for a group-commit flush; the block server keeps a batch's
+  // writes in flight together so the journal folds them into a few fsyncs per disk,
+  // where writing them one after another would cost one fsync each.
+  const std::string dir = ScratchDir("pair_batch_fsyncs");
+  FileDiskOptions options = PairGeometry();
+  options.group_commit_window = std::chrono::microseconds(200);
+  PairRun run(dir, options);
+  EXPECT_TRUE(run.disk_a->geometry().writes_share_flush);
+  constexpr uint32_t kBlocks = 16;
+  auto bnos = run.store->AllocMulti(kBlocks);
+  ASSERT_TRUE(bnos.ok()) << bnos.status();
+  std::vector<BlockWrite> writes;
+  for (BlockNo bno : *bnos) {
+    writes.push_back({bno, Bytes("block " + std::to_string(bno))});
+  }
+  const uint64_t fsyncs_a = run.disk_a->fsync_batches();
+  const uint64_t fsyncs_b = run.disk_b->fsync_batches();
+  ASSERT_TRUE(run.store->WriteBatch(writes).ok());
+  EXPECT_LT(run.disk_a->fsync_batches() - fsyncs_a, kBlocks / 2);
+  EXPECT_LT(run.disk_b->fsync_batches() - fsyncs_b, kBlocks / 2);
+  for (const BlockWrite& w : writes) {
+    auto read = run.store->Read(w.bno);
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(*read, w.payload);
+  }
 }
 
 TEST(StoreIntegrationTest, CorruptSectorRepairedFromCompanion) {
