@@ -2,10 +2,11 @@
 // pipelined stable-pair replication and sharded block-server locking buy over the
 // one-block-per-transaction baseline?
 //
-// Every benchmark takes a trailing {batch} argument: 1 = vectored paths, 0 = the same
-// binary with batching globally disabled (every vectored entry point degrades to a
-// one-block-per-RPC loop). `--no_batch` forces 0 for every variant, so two whole-process
-// runs can be compared as well. Expected shape:
+// Every batch-dependent benchmark's args end in a constant 1. It is the former {batch}
+// argument, whose 0 (one-block-per-RPC) variants are gone: it is kept so that row names
+// such as BM_MultiClientCommit/64/1/1 stay byte-identical and keep matching the committed
+// baselines (bench/baselines/). Expected shape, against the one-block-per-RPC numbers in
+// docs/PERF.md:
 //   * tree scans   >= 4x: k pages of depth d cost d vectored RPCs, not k*d single ones
 //   * contended multi-client commit >= 2x: the §5.2 merge prefetches both page trees
 //     level-by-level, and page-chain writes become AllocMulti + one WriteBatch
@@ -45,19 +46,12 @@ using net::ServiceKind;
 using net::TcpServer;
 using net::TcpTransport;
 
-// --no_batch: force the baseline even for batch=1 variants (whole-process comparison).
-bool g_allow_batch = true;
-
 // --transport=tcp: every RpcRig-based benchmark routes its client traffic through a
 // loopback TcpServer/TcpTransport pair instead of the simulated network. The simulated
 // wire latency is then OFF — the kernel provides the real thing — so the same run over
 // both flags compares simulated-latency numbers against a kernel-networking baseline
 // (BENCH_net.json; docs/NET.md). Default inproc keeps the historical numbers comparable.
 bool g_tcp_transport = false;
-
-void ApplyBatchMode(int64_t batch_arg) {
-  SetBatchingEnabled(batch_arg != 0 && g_allow_batch);
-}
 
 constexpr std::chrono::microseconds kWireLatency{100};
 
@@ -99,13 +93,12 @@ struct RpcRig {
 
 // ---------------------------------------------------------------------------
 // Tree scan: read k pages through the vectored page reader.
-// Args: {npages, chain_depth, batch}
+// Args: {npages, chain_depth, 1}
 // ---------------------------------------------------------------------------
 
 void BM_TreeScan(benchmark::State& state) {
   const int npages = static_cast<int>(state.range(0));
   const int depth = static_cast<int>(state.range(1));
-  ApplyBatchMode(state.range(2));
   RpcRig rig;
   // `depth` chunks per page forces a chain of that depth (chunk_cap bytes per block).
   const size_t page_bytes =
@@ -137,15 +130,11 @@ void BM_TreeScan(benchmark::State& state) {
   state.SetItemsProcessed(scanned);
   state.counters["rpcs_per_page"] = benchmark::Counter(
       static_cast<double>(rig.transport->total_calls() - calls_before) / scanned);
-  SetBatchingEnabled(true);
 }
 
 BENCHMARK(BM_TreeScan)
-    ->Args({8, 1, 0})
     ->Args({8, 1, 1})
-    ->Args({64, 1, 0})
     ->Args({64, 1, 1})
-    ->Args({16, 5, 0})
     ->Args({16, 5, 1})
     ->Unit(benchmark::kMicrosecond);
 
@@ -154,13 +143,12 @@ BENCHMARK(BM_TreeScan)
 // every thread contends on the same file, so almost every commit runs the serialisability
 // test + merge against a concurrent winner; files>1 spreads threads round-robin across
 // files, so one commit group holds a segment per file.
-// Args: {threads, files, batch}
+// Args: {threads, files, 1}
 // ---------------------------------------------------------------------------
 
 void BM_MultiClientCommit(benchmark::State& state) {
   const int nthreads = static_cast<int>(state.range(0));
   const int nfiles = static_cast<int>(state.range(1));
-  ApplyBatchMode(state.range(2));
   constexpr int kPagesPerTxn = 8;
   // Single-block pages: this benchmark measures the COMMIT protocol under contention
   // (validation, merge, flip), so the transaction's data payload is deliberately small —
@@ -250,15 +238,11 @@ void BM_MultiClientCommit(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(fs.serialise_tests_run()));
   state.counters["sig_fast_path"] =
       benchmark::Counter(static_cast<double>(fs.commits_sig_fast_path()));
-  SetBatchingEnabled(true);
 }
 
 BENCHMARK(BM_MultiClientCommit)
-    ->Args({1, 1, 0})
     ->Args({1, 1, 1})
-    ->Args({4, 1, 0})
     ->Args({4, 1, 1})
-    ->Args({8, 1, 0})
     ->Args({8, 1, 1})
     ->Args({16, 1, 1})
     ->Args({32, 1, 1})
@@ -277,11 +261,10 @@ BENCHMARK(BM_MultiClientCommit)
 // (begin/flip/validate/merge/finish); the acceptance bar is >= 0.9 (phases within 10% of
 // commit.latency_ns — see docs/OBSERVABILITY.md). Also declares the SLO targets the
 // --afs_slo_json report is scored against.
-// Args: {batch}
+// Args: {1}
 // ---------------------------------------------------------------------------
 
 void BM_TracedCommit(benchmark::State& state) {
-  ApplyBatchMode(state.range(0));
   const bool spans_were_on = obs::SpanEnabled();
   obs::SetSpanEnabled(true);
   // Declared SLOs for the classes this benchmark exercises. The bounds are deliberately
@@ -352,19 +335,17 @@ void BM_TracedCommit(benchmark::State& state) {
         benchmark::Counter(static_cast<double>(breakdown.phases.size()));
   }
   obs::SetSpanEnabled(spans_were_on);
-  SetBatchingEnabled(true);
 }
 
-BENCHMARK(BM_TracedCommit)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_TracedCommit)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ---------------------------------------------------------------------------
 // Batched stable-pair writes: the pipelined companion replication path.
-// Args: {batch_blocks, batch}
+// Args: {batch_blocks, 1}
 // ---------------------------------------------------------------------------
 
 void BM_StablePairWriteBatch(benchmark::State& state) {
   const int nblocks = static_cast<int>(state.range(0));
-  ApplyBatchMode(state.range(1));
   Network net(32);
   net.set_latency(kWireLatency, kWireLatency);
   MemDisk disk_a(kDefaultBlockSize, 1 << 15);
@@ -399,13 +380,10 @@ void BM_StablePairWriteBatch(benchmark::State& state) {
     written += nblocks;
   }
   state.SetItemsProcessed(written);
-  SetBatchingEnabled(true);
 }
 
 BENCHMARK(BM_StablePairWriteBatch)
-    ->Args({8, 0})
     ->Args({8, 1})
-    ->Args({64, 0})
     ->Args({64, 1})
     ->Unit(benchmark::kMicrosecond);
 
@@ -470,10 +448,7 @@ int main(int argc, char** argv) {
   // argv.
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no_batch") == 0) {
-      afs::g_allow_batch = false;
-      afs::SetBatchingEnabled(false);
-    } else if (std::strcmp(argv[i], "--transport=tcp") == 0) {
+    if (std::strcmp(argv[i], "--transport=tcp") == 0) {
       afs::g_tcp_transport = true;
     } else if (std::strcmp(argv[i], "--transport=inproc") == 0) {
       afs::g_tcp_transport = false;

@@ -161,7 +161,7 @@ void BM_FileDiskRecovery(benchmark::State& state) {
     std::filesystem::remove(path);
     std::filesystem::remove(path + ".journal");
     {
-      CrashPointInjector injector;
+      CrashInjector<CrashPoint> injector;
       auto disk = FileDisk::Open(path, {kBlockSize, kNumBlocks}, &injector);
       for (uint32_t i = 0; i < records; ++i) {
         (void)(*disk)->Write(i % kNumBlocks, data);

@@ -64,7 +64,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/slo.h"
 #include "src/obs/span.h"
-#include "src/obs/trace.h"
 #include "src/rpc/client.h"
 #include "src/rpc/network.h"
 #include "src/store/file_disk.h"
@@ -100,7 +99,6 @@ void PrintHelp() {
       "  stats [fs0|fs1|blockA|blockB]\n"
       "                              process-wide metrics, or scrape one live server's\n"
       "                              registry over RPC (kGetStats)\n"
-      "  trace [n]                   most recent n trace events (default 40)\n"
       "  spans [n]                   most recent n finished spans (default 40); with a\n"
       "  spans <server> [n]          server name, scrape them over RPC (kGetSpans)\n"
       "  spans tree <trace_id>       indented span tree of one trace\n"
@@ -156,7 +154,6 @@ void PrintRemoteHelp() {
       "  stats <server>              scrape a remote server's metrics (kGetStats)\n"
       "  spans <server> [n]          scrape a remote server's spans (kGetSpans)\n"
       "  spans [n]                   this process's recent spans\n"
-      "  trace [n]                   this process's recent trace events\n"
       "  net                         client transport counters (sends, retransmits...)\n"
       "  help, quit\n");
 }
@@ -379,13 +376,6 @@ int RunRemoteShell(const std::string& hostport) {
         size_t n = arg.empty() ? 40 : std::strtoull(arg.c_str(), nullptr, 10);
         std::printf("%s", obs::DumpSpansText(n).c_str());
       }
-    } else if (cmd == "trace") {
-      size_t n = 40;
-      std::string arg;
-      if (in >> arg) {
-        n = static_cast<size_t>(std::strtoull(arg.c_str(), nullptr, 10));
-      }
-      std::printf("%s", obs::DumpTrace(n).c_str());
     } else if (cmd == "net") {
       std::string text;
       transport.metrics()->DumpText(&text);
@@ -687,13 +677,6 @@ int main(int argc, char** argv) {
           std::printf("    error: %s\n", text.status().ToString().c_str());
         }
       }
-    } else if (cmd == "trace") {
-      size_t n = 40;
-      std::string arg;
-      if (in >> arg) {
-        n = static_cast<size_t>(std::strtoull(arg.c_str(), nullptr, 10));
-      }
-      std::printf("%s", obs::DumpTrace(n).c_str());
     } else if (cmd == "spans") {
       std::string arg;
       in >> arg;

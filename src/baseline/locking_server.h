@@ -53,6 +53,7 @@ class LockingFileServer : public Service {
  public:
   LockingFileServer(Network* network, std::string name, BlockStore* blocks,
                     uint64_t seed = 17);
+  ~LockingFileServer() override { StopAndJoin(); }
 
   // Direct API (same operations as the RPC surface).
   Result<uint64_t> CreateFile(uint32_t npages);

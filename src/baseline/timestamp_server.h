@@ -35,6 +35,7 @@ enum class TsOp : uint32_t {
 class TimestampFileServer : public Service {
  public:
   TimestampFileServer(Network* network, std::string name, BlockStore* blocks);
+  ~TimestampFileServer() override { StopAndJoin(); }
 
   Result<uint64_t> CreateFile(uint32_t npages);
   Result<uint64_t> Begin();

@@ -223,7 +223,7 @@ BlockServer::BlockServer(Network* network, std::string name, BlockDevice* device
   blocks_.resize(device->geometry().num_blocks);
 }
 
-BlockServer::~BlockServer() = default;
+BlockServer::~BlockServer() { StopAndJoin(); }
 
 void BlockServer::SetCompanion(Port companion) { companion_.store(companion); }
 

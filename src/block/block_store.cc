@@ -1,21 +1,17 @@
 #include "src/block/block_store.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <thread>
 
 #include "src/base/wire.h"
 #include "src/block/protocol.h"
 #include "src/obs/span.h"
-#include "src/obs/trace.h"
 #include "src/rpc/client.h"
 
 namespace afs {
 
 namespace {
-
-std::atomic<bool> g_batching_enabled{true};
 
 // Wire slack reserved per message for the fixed parts of a vectored request/reply
 // (capability, counts, status header). Generous on purpose; the cost of a slightly
@@ -26,12 +22,6 @@ constexpr size_t kBatchFixedSlack = 96;
 size_t WriteEntryBytes(const BlockWrite& w) { return 4 + 4 + w.payload.size(); }
 
 }  // namespace
-
-void SetBatchingEnabled(bool enabled) {
-  g_batching_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool BatchingEnabled() { return g_batching_enabled.load(std::memory_order_relaxed); }
 
 // ---------------------------------------------------------------------------
 // BlockStore default (per-block loop) implementations
@@ -136,9 +126,6 @@ size_t BlockClient::ReadChunkBlocks() const {
 }
 
 Result<std::vector<BlockReadResult>> BlockClient::ReadMulti(std::span<const BlockNo> bnos) {
-  if (!BatchingEnabled()) {
-    return BlockStore::ReadMulti(bnos);
-  }
   std::vector<BlockReadResult> out(bnos.size());
   const size_t chunk = ReadChunkBlocks();
   size_t completed_chunks = 0;
@@ -176,9 +163,6 @@ Result<std::vector<BlockReadResult>> BlockClient::ReadMulti(std::span<const Bloc
 }
 
 Status BlockClient::WriteBatch(std::span<const BlockWrite> writes) {
-  if (!BatchingEnabled()) {
-    return BlockStore::WriteBatch(writes);
-  }
   // Pre-flight: any single entry that cannot fit in one message fails the whole batch
   // cleanly, before anything is sent.
   for (const BlockWrite& w : writes) {
@@ -216,9 +200,6 @@ Status BlockClient::WriteBatch(std::span<const BlockWrite> writes) {
 }
 
 Status BlockClient::FreeMulti(std::span<const BlockNo> bnos) {
-  if (!BatchingEnabled()) {
-    return BlockStore::FreeMulti(bnos);
-  }
   const size_t chunk = (kMaxMessageBytes - kBatchFixedSlack) / 4;
   size_t completed_chunks = 0;
   for (size_t begin = 0; begin < bnos.size(); begin += chunk) {
@@ -241,9 +222,6 @@ Status BlockClient::FreeMulti(std::span<const BlockNo> bnos) {
 }
 
 Result<std::vector<BlockNo>> BlockClient::AllocMulti(uint32_t n) {
-  if (!BatchingEnabled()) {
-    return BlockStore::AllocMulti(n);
-  }
   // The reply carries n block numbers; bound a chunk well under the message limit.
   const uint32_t chunk =
       static_cast<uint32_t>(std::max<size_t>(1, (kMaxMessageBytes - kBatchFixedSlack) / 8));
@@ -353,7 +331,6 @@ Result<T> StableStore::WithFailover(const std::function<Result<T>(BlockClient*)>
       // "Clients send requests to the alternative block server if the primary fails to
       // respond."
       int other = 1 - first;
-      Status abandoned = result.status();
       result = op(members_[other].get());
       if (result.ok() || !IsConnectivityError(result.status())) {
         failovers_->Inc();
@@ -361,8 +338,6 @@ Result<T> StableStore::WithFailover(const std::function<Result<T>(BlockClient*)>
         // first-try success at the (new) preferred member; the gauge's max() watermark
         // lets chaos runs assert the pair really failed over at some point.
         degraded_->Set(1);
-        obs::Trace(obs::TraceEvent::kStableFailover, static_cast<uint64_t>(first),
-                   static_cast<uint64_t>(abandoned.code()));
         std::lock_guard<std::mutex> lock(mu_);
         preferred_ = other;
       }

@@ -33,12 +33,6 @@
 
 namespace afs {
 
-// Global batching kill-switch (default on). When off, the vectored BlockStore entry points
-// fall back to one-block-per-RPC loops — the `--no_batch` baseline of bench_batch, and a
-// safety hatch. Reads are relaxed; flipping it mid-flight only affects new calls.
-void SetBatchingEnabled(bool enabled);
-bool BatchingEnabled();
-
 // One element of a vectored write: overwrite block `bno` with `payload`.
 struct BlockWrite {
   BlockNo bno = 0;

@@ -133,18 +133,11 @@ Status FileClient::WritePage(const Capability& version, const PagePath& path,
 }
 
 Status FileClient::WritePages(const Capability& version, std::span<const PageWrite> writes) {
-  // One span for the whole batch: the chunked kWritePageMulti RPCs — or, with batching
-  // disabled, the per-page fallback calls — all become children of this span, so the
-  // batch stays one causal unit either way.
+  // One span for the whole batch: the chunked kWritePageMulti RPCs all become children of
+  // this span, so the batch stays one causal unit.
   obs::ScopedSpan span("client.write_pages", obs::SpanKind::kClient, version.port,
                        writes.size());
   obs::SloTimer slo(slo_write_);
-  if (!BatchingEnabled()) {
-    for (const PageWrite& w : writes) {
-      RETURN_IF_ERROR(WritePage(version, w.path, w.data));
-    }
-    return OkStatus();
-  }
   // Greedy chunking: pack entries until the next would push the message over the limit.
   // 96 bytes of slack covers the capability, the count and the transaction framing.
   const size_t budget = kMaxMessageBytes - 96;

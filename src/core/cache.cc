@@ -1,7 +1,5 @@
 #include "src/core/cache.h"
 
-#include "src/obs/trace.h"
-
 namespace afs {
 
 void PageCache::Put(uint64_t file_id, BlockNo version_head, const PagePath& path,
@@ -18,17 +16,14 @@ std::optional<std::vector<uint8_t>> PageCache::Get(uint64_t file_id,
   auto it = entries_.find(file_id);
   if (it == entries_.end()) {
     misses_->Inc();
-    obs::Trace(obs::TraceEvent::kCacheMiss, file_id);
     return std::nullopt;
   }
   auto page = it->second.pages.find(path);
   if (page == it->second.pages.end()) {
     misses_->Inc();
-    obs::Trace(obs::TraceEvent::kCacheMiss, file_id);
     return std::nullopt;
   }
   hits_->Inc();
-  obs::Trace(obs::TraceEvent::kCacheHit, file_id);
   return page->second;
 }
 

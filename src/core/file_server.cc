@@ -10,7 +10,6 @@
 #include "src/core/protocol.h"
 #include "src/core/serialise.h"
 #include "src/obs/slo.h"
-#include "src/obs/trace.h"
 #include "src/rpc/client.h"
 
 namespace afs {
@@ -72,7 +71,7 @@ uint64_t FileServer::MintFileIdLocked() {
   return id;
 }
 
-FileServer::~FileServer() { Shutdown(); }
+FileServer::~FileServer() { StopAndJoin(); }
 
 // ---------------------------------------------------------------------------
 // Capabilities
@@ -262,12 +261,10 @@ Result<Page> FileServer::LoadPage(BlockNo head) {
     auto it = committed_cache_.find(head);
     if (it != committed_cache_.end()) {
       cache_hits_->Inc();
-      obs::Trace(obs::TraceEvent::kCacheHit, head);
       cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
       return it->second->second;
     }
     cache_misses_->Inc();
-    obs::Trace(obs::TraceEvent::kCacheMiss, head);
     sweeps = cache_sweeps_;
   }
   ASSIGN_OR_RETURN(Page page, pages_.ReadPage(head));
@@ -292,7 +289,6 @@ Result<std::vector<Page>> FileServer::LoadPagesCommitted(std::span<const BlockNo
                                                : committed_cache_.end();
       if (it != committed_cache_.end()) {
         cache_hits_->Inc();
-        obs::Trace(obs::TraceEvent::kCacheHit, heads[i]);
         cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
         out[i] = it->second->second;
       } else {
@@ -324,7 +320,6 @@ void FileServer::CacheCommittedPage(BlockNo head, const Page& page,
     return;
   }
   if (committed_cache_.size() >= options_.committed_cache_capacity && !cache_lru_.empty()) {
-    obs::Trace(obs::TraceEvent::kCacheEvict, cache_lru_.back().first);
     committed_cache_.erase(cache_lru_.back().first);
     cache_lru_.pop_back();
     cache_evictions_->Inc();

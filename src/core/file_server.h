@@ -396,6 +396,7 @@ class FileServer : public Service {
     // a mate that could not decide): commits afterwards as its own segment of one.
     bool deferred = false;
     Status validation = OkStatus();  // first validation failure (conflict or I/O)
+    BlockNo failed_against = kNilRef;  // the successor or group mate it failed against
     Result<BlockNo> result = InternalError("commit not processed");
     obs::Counter* outcome = nullptr;  // outcome counter for the requester's CommitScope
   };

@@ -13,7 +13,6 @@
 #include "src/core/protocol.h"
 #include "src/core/serialise.h"
 #include "src/obs/span.h"
-#include "src/obs/trace.h"
 #include "src/rpc/client.h"
 #include "src/rpc/transport.h"
 
@@ -79,7 +78,6 @@ Result<BlockNo> FileServer::Commit(const Capability& version) {
       }
     }
   } scope{this, commit_start, rpcs_before};
-  obs::Trace(obs::TraceEvent::kCommitBegin, head);
 
   // commit.begin: admission (the version-op guard; the root is in memory).
   obs::ScopedSpan begin_span("commit.begin", obs::SpanKind::kPhase, head, 0);
@@ -112,6 +110,7 @@ Status FileServer::ValidateToChainEnd(PendingCommit* req, bool use_index) {
       if (page.prepare_txn != 0) {
         // In-doubt cross-shard tip: not committed, so nothing may validate against it or
         // chain behind it. Conflict-abort; the client redoes the update after the decision.
+        req->failed_against = cur;
         return ConflictError("file has an in-doubt cross-shard commit in progress");
       }
       if (cur != from) {
@@ -125,7 +124,11 @@ Status FileServer::ValidateToChainEnd(PendingCommit* req, bool use_index) {
     }
   }
   for (const VersionIndex::CommittedRec& rec : recs) {
-    RETURN_IF_ERROR(ValidateAgainstSuccessor(req, rec.head, rec.sig.get(), rec.root.get()));
+    Status st = ValidateAgainstSuccessor(req, rec.head, rec.sig.get(), rec.root.get());
+    if (!st.ok()) {
+      req->failed_against = rec.head;
+      return st;
+    }
     req->info->root.base_ref = rec.head;
   }
   return OkStatus();
@@ -134,7 +137,6 @@ Status FileServer::ValidateToChainEnd(PendingCommit* req, bool use_index) {
 Status FileServer::ValidateAgainstSuccessor(PendingCommit* req, BlockNo c_head,
                                             const AccessSig* c_sig, const Page* c_root) {
   serialise_tests_ctr_->Inc();
-  obs::Trace(obs::TraceEvent::kCommitSerialise, req->info->head, c_head);
   if (c_sig != nullptr) {
     switch (TestSigs(req->info->sig, *c_sig)) {
       case SigVerdict::kConflict:
@@ -167,7 +169,6 @@ Status FileServer::ValidateAgainstSuccessor(PendingCommit* req, BlockNo c_head,
     return ConflictError("update not serialisable with committed version");
   }
   commit_merged_->Inc();
-  obs::Trace(obs::TraceEvent::kCommitMerge, req->info->head, c_head);
   req->fast_path = false;  // merged trees contain grafted content; never reshared
   return OkStatus();
 }
@@ -221,6 +222,9 @@ void FileServer::CommitSegment(const std::vector<PendingCommit*>& segment,
       for (PendingCommit* mate : live) {
         serialise_tests_ctr_->Inc();
         verdict = TestSigs(req->info->sig, mate->info->sig);
+        if (verdict == SigVerdict::kConflict) {
+          req->failed_against = mate->info->head;
+        }
         if (verdict != SigVerdict::kNoopMerge) {
           break;
         }
@@ -301,8 +305,9 @@ void FileServer::CommitSegment(const std::vector<PendingCommit*>& segment,
       continue;
     }
     req->outcome = req->validation.code() == ErrorCode::kConflict ? commit_conflicts_ : nullptr;
-    obs::Trace(obs::TraceEvent::kCommitConflict, req->info->head, 0);
-    obs::ScopedSpan abort_span("commit.abort", obs::SpanKind::kPhase, req->info->head, 0);
+    obs::ScopedSpan abort_span("commit.abort", obs::SpanKind::kPhase, req->info->head,
+                               req->failed_against);
+    abort_span.set_status(static_cast<uint8_t>(req->validation.code()));
     (void)AbortLocked(req->info);
     req->result = req->validation;
   }
@@ -529,9 +534,6 @@ void FileServer::FinishCommit(PendingCommit* req) {
     }
   }
   req->outcome = req->fast_path ? commit_fast_path_ : commit_validated_;
-  if (req->fast_path) {
-    obs::Trace(obs::TraceEvent::kCommitFastPath, head);
-  }
   std::lock_guard<std::mutex> lock(versions_mu_);
   uncommitted_.erase(head);  // destroys req->info; nothing touches it past here
 }

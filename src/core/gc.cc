@@ -214,10 +214,10 @@ Status GarbageCollector::RunCycle() {
     }
   }
   uint64_t swept = 0;
-  if (!to_free.empty() && BatchingEnabled() && pages->blocks()->FreeMulti(to_free).ok()) {
+  if (!to_free.empty() && pages->blocks()->FreeMulti(to_free).ok()) {
     swept = to_free.size();
   } else {
-    // Baseline / fallback: free one at a time so a single bad block cannot stall the sweep.
+    // Fallback: free one at a time so a single bad block cannot stall the sweep.
     for (BlockNo bno : to_free) {
       if (pages->blocks()->Free(bno).ok()) {
         ++swept;

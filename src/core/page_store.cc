@@ -69,17 +69,9 @@ Result<BlockNo> PageStore::WriteTailChain(std::span<const uint8_t> payload,
   if (num_chunks <= 1) {
     return kNilRef;
   }
-  if (!BatchingEnabled()) {
-    // Baseline: one AllocWrite per tail block, back to front.
-    BlockNo next = kNilRef;
-    for (size_t i = num_chunks; i-- > 1;) {
-      ASSIGN_OR_RETURN(next, AllocBlock(EncodeChainBlock(next, ChunkAt(payload, chunk_cap, i))));
-    }
-    return next;
-  }
-  // Batched: reserve every tail block in one round trip, then fill them in one vectored
-  // write. Safe regardless of write order inside the batch — the chain is unreachable
-  // until the caller links the head, which always happens last and alone.
+  // Reserve every tail block in one round trip, then fill them in one vectored write. Safe
+  // regardless of write order inside the batch — the chain is unreachable until the
+  // caller links the head, which always happens last and alone.
   ASSIGN_OR_RETURN(std::vector<BlockNo> bnos, AllocBlocks(static_cast<uint32_t>(num_chunks - 1)));
   std::vector<BlockWrite> writes(bnos.size());
   for (size_t t = 1; t < num_chunks; ++t) {
@@ -100,7 +92,7 @@ Result<BlockNo> PageStore::WritePage(const Page& page) {
   size_t total = payload.size();
   size_t num_chunks = total == 0 ? 1 : (total + chunk_cap - 1) / chunk_cap;
 
-  // Tail chain first (one AllocMulti + one WriteBatch when batching is on), then the head
+  // Tail chain first (one AllocMulti + one WriteBatch), then the head
   // block — so every block's successor exists before the block pointing at it does.
   ASSIGN_OR_RETURN(BlockNo next, WriteTailChain(payload, chunk_cap, num_chunks));
   return AllocBlock(EncodeChainBlock(next, ChunkAt(payload, chunk_cap, 0)));

@@ -1,6 +1,5 @@
 #include "src/core/serialise.h"
 
-#include "src/block/block_store.h"
 #include "src/obs/span.h"
 
 namespace afs {
@@ -35,7 +34,7 @@ Result<bool> Serialiser::TestAndMerge(BlockNo b_head, Page* b_root, BlockNo c_he
                                       const Page* c_root_hint) {
   pages_visited_ = 0;
   // commit.validate covers the walk: the test, the merge into V.b's in-memory pages, and
-  // the committed pages it reads.
+  // the committed pages it reads. Its status is kConflict when the two do not serialise.
   obs::ScopedSpan validate_span("commit.validate", obs::SpanKind::kPhase, b_head, c_head);
   Page c_root;
   if (c_root_hint != nullptr) {
@@ -47,7 +46,9 @@ Result<bool> Serialiser::TestAndMerge(BlockNo b_head, Page* b_root, BlockNo c_he
   // root_flags.
   ASSIGN_OR_RETURN(bool ok, MergePages(b_root->root_flags, b_root, c_root.root_flags, c_root,
                                        /*is_root=*/true));
-  validate_span.set_args(pages_visited_, ok ? 1 : 0);
+  if (!ok) {
+    validate_span.set_status(static_cast<uint8_t>(ErrorCode::kConflict));
+  }
   return ok;
 }
 
@@ -130,7 +131,7 @@ Result<bool> Serialiser::MergeRefTables(Page* b_page, const Page& c_page) {
     c_blocks.push_back(c_page.refs[i].block);
   }
   std::vector<Page> c_children;
-  if (load_committed_multi_ != nullptr && BatchingEnabled()) {
+  if (load_committed_multi_ != nullptr) {
     ASSIGN_OR_RETURN(c_children, load_committed_multi_(c_blocks));
     if (c_children.size() != c_blocks.size()) {
       return InternalError("committed multi-loader returned wrong page count");

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "src/obs/trace.h"
-
 namespace afs {
 
 MemDisk::MemDisk(uint32_t block_size, uint32_t num_blocks)
@@ -36,7 +34,6 @@ Status MemDisk::Read(BlockNo bno, std::span<uint8_t> out) {
   latency_.Charge();
   std::memcpy(out.data(), data_.data() + static_cast<size_t>(bno) * block_size_, block_size_);
   reads_->Inc();
-  obs::Trace(obs::TraceEvent::kDiskRead, bno);
   return OkStatus();
 }
 
@@ -47,7 +44,6 @@ Status MemDisk::Write(BlockNo bno, std::span<const uint8_t> data) {
   std::memcpy(data_.data() + static_cast<size_t>(bno) * block_size_, data.data(), block_size_);
   written_[bno] = true;
   writes_->Inc();
-  obs::Trace(obs::TraceEvent::kDiskWrite, bno);
   return OkStatus();
 }
 

@@ -36,6 +36,7 @@ class DirectoryServer : public Service {
   // The directory file is created on Init (or adopted if `dir_file` is non-null, so
   // several directory servers can serve one directory).
   DirectoryServer(Network* network, std::string name, std::vector<Port> file_servers);
+  ~DirectoryServer() override { StopAndJoin(); }
 
   Status Init();
   Status Adopt(const Capability& dir_file);

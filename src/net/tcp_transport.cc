@@ -9,7 +9,6 @@
 
 #include "src/base/wire.h"
 #include "src/net/socket.h"
-#include "src/obs/trace.h"
 
 namespace afs {
 namespace net {
@@ -176,7 +175,6 @@ Result<Message> TcpTransport::RoundTrip(Conn* conn, const Frame& frame, bool dup
 Result<Message> TcpTransport::CallOnce(Port target, const Message& request,
                                        const CallOptions& options) {
   sends_->Inc();
-  obs::Trace(obs::TraceEvent::kRpcSend, target, request.opcode);
   const FaultInjection faults = fault_injection();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -195,7 +193,6 @@ Result<Message> TcpTransport::CallOnce(Port target, const Message& request,
   if (RollFault(faults.drop_request)) {
     // Lost before it reaches the wire, like a dropped datagram.
     timeouts_->Inc();
-    obs::Trace(obs::TraceEvent::kRpcTimeout, target);
     return TimeoutError("request dropped");
   }
   auto deadline = std::chrono::steady_clock::now() + options.timeout;
@@ -223,7 +220,6 @@ Result<Message> TcpTransport::CallOnce(Port target, const Message& request,
     // The reply was consumed off the wire, then lost. The retransmission is answered from
     // the server's reply cache without re-execution.
     reply_drops_->Inc();
-    obs::Trace(obs::TraceEvent::kRpcTimeout, target, request.opcode);
     return TimeoutError("reply dropped");
   }
   if (!reply.ok() && reply.status().code() == ErrorCode::kCrashed) {

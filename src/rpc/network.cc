@@ -2,7 +2,6 @@
 
 #include <thread>
 
-#include "src/obs/trace.h"
 #include "src/rpc/service.h"
 
 namespace afs {
@@ -120,7 +119,6 @@ Result<Service*> Network::LookupForCall(Port port) {
   }
   if (faults_.drop_request > 0.0 && rng_.NextBool(faults_.drop_request)) {
     timeouts_->Inc();
-    obs::Trace(obs::TraceEvent::kRpcTimeout, port);
     return TimeoutError("request dropped");
   }
   return it->second;
@@ -139,7 +137,6 @@ std::chrono::microseconds Network::PickLatency() {
 Result<Message> Network::CallOnce(Port target, const Message& request,
                                   const CallOptions& options) {
   sends_->Inc();
-  obs::Trace(obs::TraceEvent::kRpcSend, target, request.opcode);
   const FaultInjection faults = fault_injection();
   auto latency = PickLatency();
   if (latency.count() > 0) {
@@ -165,7 +162,6 @@ Result<Message> Network::CallOnce(Port target, const Message& request,
   Result<Message> reply = service->Submit(Message(request), options.timeout);
   if (reply.ok() && RollFault(faults.drop_reply)) {
     reply_drops_->Inc();
-    obs::Trace(obs::TraceEvent::kRpcTimeout, target, request.opcode);
     return TimeoutError("reply dropped");
   }
   return reply;

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "src/obs/span.h"
-#include "src/obs/trace.h"
 #include "src/rpc/client.h"
 
 namespace afs {
@@ -24,8 +23,7 @@ Service::Service(Network* network, std::string name, int num_workers)
       reply_cache_clients_(metrics_.gauge("rpc.reply_cache_clients")) {}
 
 Service::~Service() {
-  Shutdown();
-  ReapZombies();
+  StopAndJoin();
   if (port_ != kNullPort) {
     network_->UnbindService(port_);
   }
@@ -86,7 +84,6 @@ void Service::StopWorkers(bool mark_crashed) {
   queue_cv_.notify_all();
   if (!to_fail.empty()) {
     crash_failed_->Inc(to_fail.size());
-    obs::Trace(obs::TraceEvent::kRpcCrashFail, to_fail.size());
   }
   for (auto& state : to_fail) {
     std::lock_guard<std::mutex> lock(state->mu);
@@ -127,6 +124,11 @@ void Service::Crash() { StopWorkers(/*mark_crashed=*/true); }
 
 void Service::Shutdown() { StopWorkers(/*mark_crashed=*/false); }
 
+void Service::StopAndJoin() {
+  Shutdown();
+  ReapZombies();
+}
+
 void Service::Restart() {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -148,7 +150,7 @@ Result<Message> Service::Submit(Message request, std::chrono::milliseconds timeo
     bool fresh = false;
     state = RegisterCall(request, &fresh);
     if (!fresh) {
-      return AwaitExisting(state, request, timeout);
+      return AwaitExisting(state, timeout);
     }
   } else {
     state = std::make_shared<CallState>();
@@ -185,7 +187,6 @@ Result<Message> Service::Submit(Message request, std::chrono::milliseconds timeo
 }
 
 Result<Message> Service::AwaitExisting(const std::shared_ptr<CallState>& state,
-                                       const Message& request,
                                        std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lock(state->mu);
   if (state->done) {
@@ -193,7 +194,6 @@ Result<Message> Service::AwaitExisting(const std::shared_ptr<CallState>& state,
     // count/latency instruments and the handle span all stay at exactly one per logical
     // call — the cached reply still references the original span via its trace context.
     dup_replayed_->Inc();
-    obs::Trace(obs::TraceEvent::kRpcDupReplay, request.client_id, request.txn_id);
     return state->result;
   }
   // The original delivery is still executing: attach to it instead of enqueueing a second
@@ -340,7 +340,6 @@ void Service::WorkerLoop() {
     OpStats* op = StatsForOp(request.opcode);
     op->count->Inc();
     op->handle_ns->Record(ns);
-    obs::Trace(obs::TraceEvent::kRpcHandle, request.opcode, ns);
 
     {
       std::lock_guard<std::mutex> lock(mu_);

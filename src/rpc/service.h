@@ -91,6 +91,11 @@ class Service {
   // requests", §4).
   virtual void OnRestart() {}
 
+  // Stop serving and join every worker, including handlers still running. A derived class
+  // calls this first in its destructor: ~Service runs after the derived members are gone,
+  // too late for a handler that still uses them.
+  void StopAndJoin();
+
  private:
   friend class Network;
   // The TCP server core delivers remote requests through the same Submit() entry, so the
@@ -131,7 +136,7 @@ class Service {
   void EvictIdlestClientLocked(uint64_t keep);
   // Duplicate delivery path: replay a completed reply or wait on the in-flight original.
   Result<Message> AwaitExisting(const std::shared_ptr<CallState>& state,
-                                const Message& request, std::chrono::milliseconds timeout);
+                                std::chrono::milliseconds timeout);
 
   void WorkerLoop();
   // Stop serving without waiting for in-flight handlers (a crash does not politely join its

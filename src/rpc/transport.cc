@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/obs/span.h"
-#include "src/obs/trace.h"
 
 namespace afs {
 
@@ -65,10 +64,10 @@ Result<Message> Transport::Call(Port target, Message request, const CallOptions&
   const auto deadline = std::chrono::steady_clock::now() +
                         options.timeout * std::max(1, options.retransmit_deadline_factor);
   Result<Message> result = TimeoutError("not attempted");
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  int attempt = 0;
+  for (;; ++attempt) {
     if (attempt > 0) {
       retransmits_->Inc();
-      obs::Trace(obs::TraceEvent::kRpcRetransmit, target, request.opcode);
       uint64_t hi = static_cast<uint64_t>(options.backoff_base.count())
                     << std::min(attempt - 1, 20);
       hi = std::min(hi, static_cast<uint64_t>(options.backoff_cap.count()));
@@ -81,23 +80,17 @@ Result<Message> Transport::Call(Port target, Message request, const CallOptions&
     // retry under the same identity. kCrashed/kUnavailable are definite and must surface
     // immediately — the §5.3 automatic crash warning depends on it.
     if (result.ok() || result.status().code() != ErrorCode::kTimeout) {
-      if (rpc_span.active()) {
-        rpc_span.set_args(target, static_cast<uint64_t>(attempt));  // b = retransmits used
-        if (!result.ok()) {
-          rpc_span.set_status(static_cast<uint8_t>(result.status().code()));
-        }
-      }
-      return result;
+      break;
     }
-    if (std::chrono::steady_clock::now() >= deadline) {
+    if (attempt + 1 >= attempts || std::chrono::steady_clock::now() >= deadline) {
+      if (attempts > 1) {
+        retransmit_exhausted_->Inc();
+      }
       break;
     }
   }
-  if (attempts > 1) {
-    retransmit_exhausted_->Inc();
-  }
   if (rpc_span.active()) {
-    rpc_span.set_args(target, static_cast<uint64_t>(attempts - 1));
+    rpc_span.set_args(target, static_cast<uint64_t>(attempt));  // b = retransmits used
     if (!result.ok()) {
       rpc_span.set_status(static_cast<uint8_t>(result.status().code()));
     }

@@ -1,4 +1,5 @@
-// CrashPoint: fault-injection sites inside FileDisk's write and checkpoint paths.
+// CrashPoint: fault-injection sites inside FileDisk's write and checkpoint paths, and the
+// CrashInjector that arms one site of this or another crash-point catalogue.
 //
 // Each point names one instant at which a power cut would leave the backing files in a
 // distinct intermediate state. Tests arm an injector at one point, drive the write path
@@ -39,19 +40,22 @@ inline constexpr CrashPoint kAllCrashPoints[] = {
 // "mid_journal_append" etc., for parameterised test names and logs.
 const char* CrashPointName(CrashPoint point);
 
-// Arms at most one crash point; the first write-path visit to that site fires it (exactly
-// once) and the owning FileDisk simulates the power cut. Thread-safe: the firing site may
-// be a writer thread or the journal flusher.
-class CrashPointInjector {
+// Arms at most one crash point of a catalogue (CrashPoint here, TierCrashPoint in
+// src/tier/crash_point.h); the first visit to that site fires it (exactly once) and the
+// owner simulates the power cut: FileDisk leaves its files as they are, TieredStore
+// abandons the migration cycle. Thread-safe: the firing site may be a writer thread or the
+// journal flusher.
+template <typename Point>
+class CrashInjector {
  public:
-  void Arm(CrashPoint point) {
+  void Arm(Point point) {
     std::lock_guard<std::mutex> lock(mu_);
     armed_ = point;
     fired_ = false;
   }
 
   // True exactly once, when `point` is the armed site. Consumes the arming.
-  bool Fire(CrashPoint point) {
+  bool Fire(Point point) {
     std::lock_guard<std::mutex> lock(mu_);
     if (!armed_.has_value() || *armed_ != point) {
       return false;
@@ -68,7 +72,7 @@ class CrashPointInjector {
 
  private:
   mutable std::mutex mu_;
-  std::optional<CrashPoint> armed_;
+  std::optional<Point> armed_;
   bool fired_ = false;
 };
 

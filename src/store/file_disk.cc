@@ -9,7 +9,6 @@
 #endif
 
 #include "src/base/crc32.h"
-#include "src/obs/trace.h"
 
 namespace afs {
 namespace {
@@ -86,7 +85,7 @@ bool DecodeSuperblock(std::span<const uint8_t> slot, Superblock* out) {
 
 }  // namespace
 
-FileDisk::FileDisk(std::string path, FileDiskOptions options, CrashPointInjector* injector)
+FileDisk::FileDisk(std::string path, FileDiskOptions options, CrashInjector<CrashPoint>* injector)
     : path_(std::move(path)), options_(options), injector_(injector) {
   latency_.BindMetrics(metrics_.counter("disk.charged_ops"),
                        metrics_.histogram("disk.charged_ns"));
@@ -94,7 +93,7 @@ FileDisk::FileDisk(std::string path, FileDiskOptions options, CrashPointInjector
 
 Result<std::unique_ptr<FileDisk>> FileDisk::Open(const std::string& path,
                                                  const FileDiskOptions& options,
-                                                 CrashPointInjector* injector) {
+                                                 CrashInjector<CrashPoint>* injector) {
   std::unique_ptr<FileDisk> disk(new FileDisk(path, options, injector));
   RETURN_IF_ERROR(disk->Mount());
   return disk;
@@ -251,7 +250,6 @@ Status FileDisk::Read(BlockNo bno, std::span<uint8_t> out) {
     RETURN_IF_ERROR(ReadSector(bno, out));
   }
   reads_->Inc();
-  obs::Trace(obs::TraceEvent::kDiskRead, bno);
   return OkStatus();
 }
 
@@ -268,7 +266,6 @@ Status FileDisk::Write(BlockNo bno, std::span<const uint8_t> data) {
     journal_index_[bno] = JournalEntry{rec.lsn, rec.payload_offset, rec.payload_crc};
   }
   writes_->Inc();
-  obs::Trace(obs::TraceEvent::kDiskWrite, bno);
   // The write is durable and acknowledged; fold the journal down if it has grown large.
   // try_to_lock: if a checkpoint is already running, this journal growth is its problem.
   if (journal_->tail_bytes() > options_.checkpoint_threshold_bytes) {

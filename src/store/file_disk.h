@@ -23,7 +23,7 @@
 // writes are therefore always recovered; an unacknowledged tail may survive (if it was
 // already complete on the platter) or vanish — never anything in between.
 //
-// A CrashPointInjector (crash_point.h) can cut the power at every interesting instant of
+// A CrashInjector<CrashPoint> (crash_point.h) can cut the power at every interesting instant of
 // the write and checkpoint paths; the backing files are left exactly as a power failure
 // would leave them, and tests remount to drive the real recovery code.
 
@@ -68,7 +68,7 @@ class FileDisk : public BlockDevice {
   // the group-commit flusher. `injector` (may be null) arms simulated power cuts.
   static Result<std::unique_ptr<FileDisk>> Open(const std::string& path,
                                                 const FileDiskOptions& options = {},
-                                                CrashPointInjector* injector = nullptr);
+                                                CrashInjector<CrashPoint>* injector = nullptr);
   ~FileDisk() override;
 
   DiskGeometry geometry() const override { return geometry_; }
@@ -111,7 +111,7 @@ class FileDisk : public BlockDevice {
     uint32_t payload_crc = 0;
   };
 
-  FileDisk(std::string path, FileDiskOptions options, CrashPointInjector* injector);
+  FileDisk(std::string path, FileDiskOptions options, CrashInjector<CrashPoint>* injector);
 
   Status Mount();
   Status WriteSuperblock();
@@ -130,7 +130,7 @@ class FileDisk : public BlockDevice {
 
   const std::string path_;
   const FileDiskOptions options_;
-  CrashPointInjector* const injector_;
+  CrashInjector<CrashPoint>* const injector_;
   DiskGeometry geometry_;
 
   std::unique_ptr<StableFile> block_file_;

@@ -39,7 +39,7 @@ uint64_t LoadU64(const uint8_t* p) {
 }  // namespace
 
 Journal::Journal(StableFile* file, JournalOptions options, obs::MetricRegistry* metrics,
-                 CrashPointInjector* injector)
+                 CrashInjector<CrashPoint>* injector)
     : file_(file),
       options_(options),
       injector_(injector),

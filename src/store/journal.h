@@ -49,7 +49,7 @@ class Journal {
   // `file` must outlive the journal. `metrics` receives the append/fsync instruments
   // (may be shared with the owning FileDisk's registry). `injector` may be null.
   Journal(StableFile* file, JournalOptions options, obs::MetricRegistry* metrics,
-          CrashPointInjector* injector);
+          CrashInjector<CrashPoint>* injector);
   ~Journal();
 
   // Called once if a crash point fires inside the journal, so the owner can cut power to
@@ -101,7 +101,7 @@ class Journal {
 
   StableFile* file_;
   const JournalOptions options_;
-  CrashPointInjector* injector_;
+  CrashInjector<CrashPoint>* injector_;
   std::function<void()> on_power_cut_;
 
   mutable std::mutex mu_;

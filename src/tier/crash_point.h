@@ -3,16 +3,16 @@
 //
 // Each point names one instant at which a power cut would leave the two tiers in a distinct
 // intermediate state. The migration protocol's invariant — every committed version stays
-// readable from one tier or the other — must hold at every point; tests arm an injector,
-// drive a migration until it fires, simulate a restart (fresh WriteOnceDisk + TieredStore
-// over the same media), and assert every committed version still reads back byte-identical.
+// readable from one tier or the other — must hold at every point; tests arm a
+// CrashInjector<TierCrashPoint> (src/store/crash_point.h), drive a migration until it
+// fires, simulate a restart (fresh WriteOnceDisk + TieredStore over the same media), and
+// assert every committed version still reads back byte-identical.
 // The per-point media states are catalogued in docs/TIERING.md's crash matrix.
 
 #ifndef SRC_TIER_CRASH_POINT_H_
 #define SRC_TIER_CRASH_POINT_H_
 
-#include <mutex>
-#include <optional>
+#include "src/store/crash_point.h"
 
 namespace afs {
 
@@ -45,39 +45,6 @@ inline const char* TierCrashPointName(TierCrashPoint point) {
   }
   return "unknown";
 }
-
-// Arms at most one crash point; the first migration visit to that site fires it (exactly
-// once) and MigrateBlocks abandons the cycle as if the power had been cut. Same shape as
-// CrashPointInjector so the two catalogues read alike.
-class TierCrashInjector {
- public:
-  void Arm(TierCrashPoint point) {
-    std::lock_guard<std::mutex> lock(mu_);
-    armed_ = point;
-    fired_ = false;
-  }
-
-  // True exactly once, when `point` is the armed site. Consumes the arming.
-  bool Fire(TierCrashPoint point) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!armed_.has_value() || *armed_ != point) {
-      return false;
-    }
-    armed_.reset();
-    fired_ = true;
-    return true;
-  }
-
-  bool fired() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return fired_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::optional<TierCrashPoint> armed_;
-  bool fired_ = false;
-};
 
 }  // namespace afs
 

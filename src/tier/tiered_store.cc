@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "src/obs/span.h"
-#include "src/obs/trace.h"
 
 namespace afs {
 
@@ -108,7 +107,6 @@ Result<std::vector<uint8_t>> TieredStore::ReadArchived(BlockNo bno, BlockNo abno
   auto payload = archive_.ReadRecord(abno, bno);
   if (payload.ok()) {
     archive_reads_->Inc();
-    obs::Trace(obs::TraceEvent::kTierPromote, bno, abno);
     CacheInsert(bno, *payload);
     return std::move(*payload);
   }
@@ -375,7 +373,6 @@ Status TieredStore::MigrateBlocks(std::span<const BlockNo> bnos, uint64_t* migra
       std::unique_lock<std::shared_mutex> map_lock(map_mu_);
       map_[todo[i]] = *abno;
     }
-    obs::Trace(obs::TraceEvent::kTierMigrate, todo[i], *abno);
     burned.push_back(todo[i]);
   }
   if (CrashCut(TierCrashPoint::kAfterBurn)) {
@@ -440,7 +437,6 @@ Result<TierScrubSummary> TieredStore::ScrubPass() {
       std::unique_lock<std::shared_mutex> map_lock(map_mu_);
       map_[bno] = new_abno;
     }
-    obs::Trace(obs::TraceEvent::kTierScrubRepair, bno, new_abno);
     ++summary.repaired;
     scrub_repairs_->Inc();
   }

@@ -102,7 +102,7 @@ class TieredStore : public BlockStore {
   BlockStore* magnetic() { return inner_; }
 
   // Test hook: migration visits the armed site and aborts the cycle there.
-  void set_crash_injector(TierCrashInjector* injector) { injector_ = injector; }
+  void set_crash_injector(CrashInjector<TierCrashPoint>* injector) { injector_ = injector; }
 
   // Drop the promotion cache (bench cold-read reset).
   void DropPromotions();
@@ -122,7 +122,7 @@ class TieredStore : public BlockStore {
   BlockStore* inner_;
   ArchiveTier archive_;
   TieredStoreOptions options_;
-  TierCrashInjector* injector_ = nullptr;
+  CrashInjector<TierCrashPoint>* injector_ = nullptr;
 
   mutable std::shared_mutex map_mu_;
   std::unordered_map<BlockNo, BlockNo> map_;  // magnetic bno -> archive bno

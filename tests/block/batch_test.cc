@@ -16,11 +16,6 @@
 namespace afs {
 namespace {
 
-// Restores the global batching flag on scope exit so one test cannot poison the rest.
-struct BatchingFlagGuard {
-  ~BatchingFlagGuard() { SetBatchingEnabled(true); }
-};
-
 class BatchIoTest : public ::testing::Test {
  protected:
   BatchIoTest() : net_(21), disk_(kDefaultBlockSize, 256) {
@@ -51,7 +46,6 @@ class BatchIoTest : public ::testing::Test {
   std::unique_ptr<BlockServer> server_;
   Capability account_;
   std::unique_ptr<BlockClient> client_;
-  BatchingFlagGuard flag_guard_;
 };
 
 TEST_F(BatchIoTest, ReadMultiRoundTrip) {
@@ -133,24 +127,6 @@ TEST_F(BatchIoTest, FreeMultiAndAllocMultiRoundTrip) {
   EXPECT_TRUE(client_->FreeMulti(*fresh).ok());
 }
 
-TEST_F(BatchIoTest, DisabledBatchingFallsBackToSingleOps) {
-  SetBatchingEnabled(false);
-  std::vector<BlockNo> bnos = AllocBlocks(5, 64);
-  std::vector<BlockWrite> writes;
-  for (size_t i = 0; i < bnos.size(); ++i) {
-    writes.push_back({bnos[i], Payload(static_cast<uint8_t>(0x40 + i), 64)});
-  }
-  uint64_t calls_before = net_.total_calls();
-  ASSERT_TRUE(client_->WriteBatch(writes).ok());
-  EXPECT_EQ(net_.total_calls() - calls_before, bnos.size());  // one RPC per block
-  auto results = client_->ReadMulti(bnos);
-  ASSERT_TRUE(results.ok());
-  for (size_t i = 0; i < bnos.size(); ++i) {
-    EXPECT_EQ((*results)[i].data, Payload(static_cast<uint8_t>(0x40 + i), 64));
-  }
-  SetBatchingEnabled(true);
-}
-
 TEST_F(BatchIoTest, CrashMidBatchKeepsAckedChunksOnly) {
   // 20 writes of ~4K chunk into [8, 8, 4]. Crash the server after the first chunk is
   // acked: per-chunk atomicity requires exactly the acked chunk's blocks to carry the new
@@ -219,7 +195,6 @@ class BatchPairTest : public ::testing::Test {
   std::unique_ptr<BlockServer> b_;
   Capability account_;
   std::unique_ptr<StableStore> store_;
-  BatchingFlagGuard flag_guard_;
 };
 
 TEST_F(BatchPairTest, BatchedWritesLandOnBothDisks) {

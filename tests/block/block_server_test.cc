@@ -1,7 +1,12 @@
 // Block server tests (paper §4): allocate/read/write/free, account protection, the locking
-// facility, the recovery operation, and corruption detection.
+// facility, the recovery operation, corruption detection, and destruction with a handler in
+// flight.
 
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <memory>
+#include <thread>
 
 #include "src/block/block_server.h"
 #include "src/block/block_store.h"
@@ -180,6 +185,33 @@ TEST_F(BlockServerTest, RestartRebuildsAllocationFromDisk) {
   ASSERT_TRUE(fresh.ok());
   EXPECT_NE(*fresh, *a);
   EXPECT_NE(*fresh, *b);
+}
+
+// Destroying a server waits for a handler still in flight. After its disk write returns,
+// the write handler updates the server's block table, so it must finish before the
+// server's own members are destroyed (under ASan a late handler is a use-after-free).
+TEST(BlockServerLifetimeTest, DestroyJoinsHandlerInFlight) {
+  Network net(4);
+  MemDisk disk(kDefaultBlockSize, 64);
+  auto server = std::make_unique<BlockServer>(&net, "bs", &disk, 5);
+  server->Start();
+  Capability account = server->CreateAccountDirect();
+  BlockClient client(&net, server->port(), account, server->payload_capacity());
+  auto bno = client.AllocWrite(std::vector<uint8_t>(100, 1));
+  ASSERT_TRUE(bno.ok());
+  const uint64_t writes_before = disk.writes();
+
+  disk.latency().set_sleep(std::chrono::milliseconds(200));
+  obs::Gauge* depth = server->metrics()->gauge("rpc.queue_depth");
+  std::thread caller([&] { (void)client.Write(*bno, std::vector<uint8_t>(100, 2)); });
+  // The queue held the call and is empty again: a worker has taken it.
+  while (depth->max() < 1 || depth->value() != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // into the disk's sleep
+  server.reset();
+  EXPECT_EQ(disk.writes(), writes_before + 1) << "destroyed before the handler finished";
+  caller.join();
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for the observability layer (src/obs): lock-free counters and histograms,
-// registry text exposition, the retired aggregate, and the per-thread trace ring.
+// registry text exposition, the retired aggregate, and the service queue-depth gauge.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/rpc/network.h"
 #include "src/rpc/service.h"
 
@@ -178,66 +177,6 @@ TEST(RegistryTest, RetiredAggregateAccumulatesAcrossInstances) {
   ResetRetired();
 }
 
-TEST(TraceTest, RecordsAndDumps) {
-  ClearTrace();
-  Trace(TraceEvent::kCommitBegin, 7);
-  Trace(TraceEvent::kCommitFastPath, 7);
-  std::string dump = DumpTrace(16);
-  EXPECT_NE(dump.find("commit.begin a=7"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("commit.fast_path a=7"), std::string::npos) << dump;
-  ClearTrace();
-}
-
-TEST(TraceTest, RingWrapsKeepingMostRecent) {
-  ClearTrace();
-  const size_t total = kTraceRingCapacity + 100;
-  for (size_t i = 0; i < total; ++i) {
-    Trace(TraceEvent::kDiskRead, i);
-  }
-  // Ask for more than the ring holds: only the most recent kTraceRingCapacity survive.
-  std::string dump = DumpTrace(2 * kTraceRingCapacity);
-  EXPECT_EQ(dump.find("disk.read a=0 "), std::string::npos) << "oldest event survived";
-  EXPECT_NE(dump.find("disk.read a=" + std::to_string(total - 1)), std::string::npos) << dump;
-  EXPECT_NE(dump.find("disk.read a=" + std::to_string(total - kTraceRingCapacity)),
-            std::string::npos)
-      << dump;
-
-  // Events come out oldest-first in sequence order.
-  size_t first = dump.find("disk.read a=" + std::to_string(total - kTraceRingCapacity));
-  size_t last = dump.find("disk.read a=" + std::to_string(total - 1));
-  EXPECT_LT(first, last);
-  ClearTrace();
-}
-
-TEST(TraceTest, DumpHonoursLimit) {
-  ClearTrace();
-  for (int i = 0; i < 50; ++i) {
-    Trace(TraceEvent::kCacheHit, i);
-  }
-  std::string dump = DumpTrace(10);
-  int lines = 0;
-  for (char c : dump) {
-    if (c == '\n') {
-      ++lines;
-    }
-  }
-  EXPECT_EQ(lines, 10);
-  // The 10 most recent events are 40..49.
-  EXPECT_NE(dump.find("cache.hit a=40"), std::string::npos) << dump;
-  EXPECT_EQ(dump.find("cache.hit a=39"), std::string::npos) << dump;
-  ClearTrace();
-}
-
-TEST(TraceTest, DisableStopsRecording) {
-  ClearTrace();
-  SetTraceEnabled(false);
-  Trace(TraceEvent::kCacheMiss, 123456789);
-  SetTraceEnabled(true);
-  std::string dump = DumpTrace(16);
-  EXPECT_EQ(dump.find("123456789"), std::string::npos) << dump;
-  ClearTrace();
-}
-
 // A single-worker service whose handler blocks until released, so requests pile up in the
 // queue and the rpc.queue_depth gauge has something to measure.
 class StallService : public Service {
@@ -282,15 +221,6 @@ TEST(ServiceMetricsTest, QueueDepthGaugeTracksBacklog) {
   }
   EXPECT_EQ(depth->value(), 0);
   EXPECT_GE(depth->max(), kCalls - 1);
-}
-
-TEST(TraceTest, RetiredThreadEventsSurvive) {
-  ClearTrace();
-  std::thread worker([] { Trace(TraceEvent::kCommitMerge, 31337); });
-  worker.join();
-  std::string dump = DumpTrace(16);
-  EXPECT_NE(dump.find("commit.merge a=31337"), std::string::npos) << dump;
-  ClearTrace();
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // End-to-end tracing tests: trace-context propagation across the RPC boundary, the
 // at-most-once replay guarantee (a replayed reply increments ONLY rpc.dup_replayed — the
 // per-op instruments and the handle span stay at one per logical call), the kGetSpans
-// scrape, and span-tree completeness under chunked vectored I/O, chaos fault injection,
-// and the --no_batch degraded mode.
+// scrape, span-tree completeness under chunked vectored I/O and chaos fault injection, and
+// the arguments the commit and RPC spans carry (successor heads, retransmit counts).
 
 #include <gtest/gtest.h>
 
@@ -122,14 +122,24 @@ TEST_F(TracingTest, ReplayedReplyCountsOnlyDupReplay) {
   EXPECT_EQ(op_count, static_cast<uint64_t>(kCalls));
   EXPECT_EQ(op_latency_samples, static_cast<uint64_t>(kCalls));
 
-  // And exactly one handle span per logical call — replays fabricate no duplicates.
+  // And exactly one handle span per logical call — replays fabricate no duplicates. Each
+  // rpc.call span names its target in `a` and the retransmissions it used in `b`.
   int handle_spans = 0;
+  int call_spans = 0;
+  uint64_t retransmits_on_spans = 0;
   for (const obs::Span& s : obs::SnapshotSpans()) {
     if (std::string(s.name) == "handle:1") {
       ++handle_spans;
     }
+    if (std::string(s.name) == "rpc.call:1") {
+      ++call_spans;
+      EXPECT_EQ(s.a, ping.port());
+      retransmits_on_spans += s.b;
+    }
   }
   EXPECT_EQ(handle_spans, kCalls);
+  EXPECT_EQ(call_spans, kCalls);
+  EXPECT_EQ(retransmits_on_spans, net.retransmits());
 }
 
 TEST_F(TracingTest, DuplicateDeliveryFabricatesNoSpans) {
@@ -215,48 +225,6 @@ TEST_F(TracingTest, ChunkedMultiBlockWriteIsOneTrace) {
   ASSERT_TRUE(client.Commit(*v).ok());
 }
 
-TEST_F(TracingTest, NoBatchFallbackStillOneTrace) {
-  SetBatchingEnabled(false);
-  FullCluster cluster(1);
-  FileClient client(&cluster.net(), cluster.FileServerPorts());
-  auto file = client.CreateFile();
-  ASSERT_TRUE(file.ok());
-  auto v = client.CreateVersion(*file);
-  ASSERT_TRUE(v.ok());
-  std::vector<FileClient::PageWrite> writes;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(client.InsertRef(*v, PagePath::Root(), i).ok());
-    writes.push_back(FileClient::PageWrite{PagePath({static_cast<uint32_t>(i)}),
-                                           std::vector<uint8_t>(512, 3)});
-  }
-
-  obs::ClearSpans();
-  ASSERT_TRUE(client.WritePages(*v, writes).ok());
-  SetBatchingEnabled(true);
-
-  uint64_t trace = 0;
-  for (const obs::Span& s : obs::SnapshotSpans()) {
-    if (std::string(s.name) == "client.write_pages") {
-      trace = s.trace_id;
-    }
-  }
-  ASSERT_NE(trace, 0u);
-  std::vector<obs::Span> tree = obs::SpansForTrace(trace);
-  // Degraded mode: one plain kWritePage RPC per page, all under the same root. Filter on
-  // the destination port too: BlockOp::kRead shares the numeric opcode, and the file
-  // server's own block reads would otherwise inflate the count.
-  int per_page_calls = 0;
-  for (const obs::Span& s : tree) {
-    if (std::string(s.name) ==
-            "rpc.call:" + std::to_string(static_cast<uint32_t>(FileOp::kWritePage)) &&
-        s.a == cluster.FileServerPorts()[0]) {
-      ++per_page_calls;
-    }
-  }
-  EXPECT_EQ(per_page_calls, 4);
-  EXPECT_EQ(CountRootsAndCheckLinkage(tree), 1);
-}
-
 TEST_F(TracingTest, ChaosTransactionsKeepConnectedTrees) {
   // Drops, duplicates and reorders on every message: each RunTransaction must still
   // produce exactly one connected span tree (retransmissions reuse the original context,
@@ -340,7 +308,20 @@ TEST_F(TracingTest, ContendedCommitPhasesSumToCommit) {
   obs::ClearSpans();
   ASSERT_TRUE(client.Commit(*loser).ok());
 
-  obs::PhaseBreakdown b = obs::AnalyzePhases(obs::SnapshotSpans(), "commit");
+  // commit.validate names the version under test and the committed successor it merged.
+  std::vector<obs::Span> spans = obs::SnapshotSpans();
+  bool saw_validate = false;
+  for (const obs::Span& s : spans) {
+    if (std::string(s.name) == "commit.validate") {
+      saw_validate = true;
+      EXPECT_EQ(s.a, loser->object);
+      EXPECT_EQ(s.b, winner->object);
+      EXPECT_EQ(s.status, 0u);
+    }
+  }
+  EXPECT_TRUE(saw_validate);
+
+  obs::PhaseBreakdown b = obs::AnalyzePhases(spans, "commit");
   ASSERT_TRUE(b.found);
   ASSERT_GT(b.total_ns, 0u);
   std::set<std::string> phase_names;
@@ -356,6 +337,33 @@ TEST_F(TracingTest, ContendedCommitPhasesSumToCommit) {
       static_cast<double>(b.attributed_ns) / static_cast<double>(b.total_ns);
   EXPECT_GE(ratio, 0.9) << obs::FormatBreakdown(b);
   EXPECT_LE(ratio, 1.0 + 1e-9) << obs::FormatBreakdown(b);
+
+  // A version that read page 0 cannot serialise after a successor that wrote it: its
+  // commit.abort names it and that successor, with status kConflict.
+  auto reader = client.CreateVersion(*file);
+  auto writer = client.CreateVersion(*file);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(client.ReadPage(*reader, PagePath({0})).ok());
+  ASSERT_TRUE(
+      client.WritePage(*reader, PagePath({1}), std::vector<uint8_t>(256, 4)).ok());
+  ASSERT_TRUE(
+      client.WritePage(*writer, PagePath({0}), std::vector<uint8_t>(256, 5)).ok());
+  ASSERT_TRUE(client.Commit(*writer).ok());
+  obs::ClearSpans();
+  auto conflicted = client.Commit(*reader);
+  ASSERT_FALSE(conflicted.ok());
+  EXPECT_EQ(conflicted.status().code(), ErrorCode::kConflict);
+  int aborts = 0;
+  for (const obs::Span& s : obs::SnapshotSpans()) {
+    if (std::string(s.name) == "commit.abort") {
+      ++aborts;
+      EXPECT_EQ(s.a, reader->object);
+      EXPECT_EQ(s.b, writer->object);
+      EXPECT_EQ(s.status, static_cast<uint8_t>(ErrorCode::kConflict));
+    }
+  }
+  EXPECT_EQ(aborts, 1);
 }
 
 }  // namespace

@@ -70,7 +70,7 @@ class CrashRecoveryTest : public ::testing::TestWithParam<CrashPoint> {};
 TEST_P(CrashRecoveryTest, AcknowledgedWritesSurviveRemount) {
   const CrashPoint point = GetParam();
   const std::string path = ScratchPath(std::string("crash_") + CrashPointName(point));
-  CrashPointInjector injector;
+  CrashInjector<CrashPoint> injector;
   {
     auto disk = FileDisk::Open(path, Options(), &injector);
     ASSERT_TRUE(disk.ok()) << disk.status().message();
@@ -135,7 +135,7 @@ INSTANTIATE_TEST_SUITE_P(AllCrashPoints, CrashRecoveryTest,
 // working — and a later clean mount must see both generations of writes.
 TEST(CrashRecoveryTest, TornTailNeverResurfacesAcrossGenerations) {
   const std::string path = ScratchPath("double_crash");
-  CrashPointInjector injector;
+  CrashInjector<CrashPoint> injector;
   {
     auto disk = FileDisk::Open(path, Options(), &injector);
     ASSERT_TRUE(disk.ok());
@@ -186,7 +186,7 @@ TEST_P(FileServiceCrashPointTest, RecoveredStorePassesFsckWithVersionIndex) {
   FileDiskOptions options;
   options.block_size = 4096;
   options.num_blocks = 1 << 12;
-  CrashPointInjector injector;
+  CrashInjector<CrashPoint> injector;
   Capability file_cap;
   const std::vector<uint8_t> payload = Pattern(3);
   {
@@ -261,7 +261,7 @@ TEST(CrashRecoveryTest, CrashDuringAutoCheckpoint) {
   const std::string path = ScratchPath("auto_checkpoint_crash");
   FileDiskOptions options = Options();
   options.checkpoint_threshold_bytes = 2048;  // a few records
-  CrashPointInjector injector;
+  CrashInjector<CrashPoint> injector;
   uint32_t acked = 0;
   {
     auto disk = FileDisk::Open(path, options, &injector);

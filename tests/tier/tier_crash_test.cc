@@ -104,7 +104,7 @@ TEST_P(TierCrashTest, NoCommittedVersionUnreadableAtAnyCut) {
   ASSERT_FALSE(before.empty());
 
   // Cut the power at the parameterised site.
-  TierCrashInjector injector;
+  CrashInjector<TierCrashPoint> injector;
   tiered_->set_crash_injector(&injector);
   injector.Arm(GetParam());
   Migrator migrator({fs_.get()}, tiered_.get());
@@ -151,7 +151,7 @@ TEST_F(TierCrashTest, RemountAfterMidBurnThenCompletionIsStable) {
   BuildWorkload();
   auto before = SnapshotHistory();
 
-  TierCrashInjector injector;
+  CrashInjector<TierCrashPoint> injector;
   tiered_->set_crash_injector(&injector);
   injector.Arm(TierCrashPoint::kMidBurn);
   Migrator migrator({fs_.get()}, tiered_.get());

@@ -194,7 +194,7 @@ TEST_F(TierStoreTest, MountRebuildsMapAndFinishesInterruptedFree) {
   std::vector<uint8_t> payload = Pattern(2000, 11);
   BlockNo bno = Put(payload);
   // Cut the power after the burn, before the magnetic free: doubly resident.
-  TierCrashInjector injector;
+  CrashInjector<TierCrashPoint> injector;
   tiered_->set_crash_injector(&injector);
   injector.Arm(TierCrashPoint::kAfterBurn);
   uint64_t migrated = 0;
@@ -217,7 +217,7 @@ TEST_F(TierStoreTest, ScrubRepairsRottedArchiveFromMagneticCopy) {
   std::vector<uint8_t> payload = Pattern(2000, 23);
   BlockNo bno = Put(payload);
   // Stop after the burn so the magnetic copy still exists (the repair source).
-  TierCrashInjector injector;
+  CrashInjector<TierCrashPoint> injector;
   tiered_->set_crash_injector(&injector);
   injector.Arm(TierCrashPoint::kAfterBurn);
   EXPECT_EQ(tiered_->MigrateBlocks(std::vector<BlockNo>{bno}, nullptr).code(),
